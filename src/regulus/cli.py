@@ -15,7 +15,6 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
@@ -46,34 +45,6 @@ from .regdetect import (
 _CLAIMS = ("mv-conjecture", "star-extremal", "example-b", "sunflower-bounds")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    seed: int = 0
-    input: str | None = None
-    out: str | None = None
-    certificate: str | None = None
-    kind: str | None = None
-    variant: str | None = None
-    pattern: str | None = None
-    claim: str | None = None
-    n: int | None = None
-    k: int | None = None
-    r: int | None = None
-    l: int | None = None
-    c: int | None = None
-    p: int | None = None
-    v: int | None = None
-    n_max: int | None = None
-    k_max: int | None = None
-    max_nodes: int | None = None
-    max_millis: int | None = None
-    expect_found: bool = False
-    prime: bool = False
-    isomorph_reject: bool = False
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv"), default="text")
@@ -83,9 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", parents=[common], help="write a named construction")
+    g.set_defaults(handler=_cmd_generate)
     g.add_argument("--kind", required=True,
                    choices=("star", "star-plus", "hkl", "hkl-prime",
-                            "example-a", "example-b", "c64", "bes-layer-star"))
+                            "example-a", "example-b", "bes-layer-star"))
     g.add_argument("--n", type=int)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--r", type=int)
@@ -95,6 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
 
     d = sub.add_parser("detect", parents=[common], help="search for an r-regular subgraph")
+    d.set_defaults(handler=_cmd_detect)
     d.add_argument("--input", required=True)
     d.add_argument("--r", type=int, required=True)
     d.add_argument("--max-nodes", type=int)
@@ -103,10 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--expect-found", action="store_true")
 
     vf = sub.add_parser("verify", parents=[common], help="check a certificate against a hypergraph")
+    vf.set_defaults(handler=_cmd_verify)
     vf.add_argument("--input", required=True)
     vf.add_argument("--certificate", required=True)
 
     f = sub.add_parser("find", parents=[common], help="find a structural pattern")
+    f.set_defaults(handler=_cmd_find)
     f.add_argument("--pattern", required=True, choices=("sunflower", "same-union", "gadget"))
     f.add_argument("--input", required=True)
     f.add_argument("--p", type=int)
@@ -117,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--expect-found", action="store_true")
 
     s = sub.add_parser("search", parents=[common], help="exhaustive extremal edge-count search")
+    s.set_defaults(handler=_cmd_search)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
@@ -126,15 +102,18 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
 
     w = sub.add_parser("wedges", parents=[common], help="count wedges at a vertex")
+    w.set_defaults(handler=_cmd_wedges)
     w.add_argument("--input", required=True)
     w.add_argument("--v", type=int, required=True)
     w.add_argument("--r", type=int, required=True)
 
     c = sub.add_parser("classify", parents=[common], help="good/bad 3-sets at a vertex")
+    c.set_defaults(handler=_cmd_classify)
     c.add_argument("--input", required=True)
     c.add_argument("--v", type=int, required=True)
 
     t = sub.add_parser("table", parents=[common], help="desk-scale claim tables")
+    t.set_defaults(handler=_cmd_table)
     t.add_argument("--claim", required=True, choices=_CLAIMS)
     t.add_argument("--n", type=int)
     t.add_argument("--k", type=int)
@@ -146,30 +125,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, fmt=args.format, seed=args.seed)
-    for name in ("input", "out", "certificate", "kind", "variant", "pattern", "claim",
-                 "n", "k", "r", "l", "c", "p", "v", "n_max", "k_max",
-                 "max_nodes", "max_millis", "expect_found", "prime", "isomorph_reject"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
-def _budget(cfg: RunConfig) -> SolverBudget | None:
-    millis = cfg.max_millis
+def _budget(args: argparse.Namespace) -> SolverBudget | None:
+    millis = args.max_millis
     if millis is None:
         env = os.environ.get("REGULUS_MAX_MILLIS")
         if env is not None and env != "":
             millis = int(env)
-    if cfg.max_nodes is None and millis is None:
+    if args.max_nodes is None and millis is None:
         return None
-    return SolverBudget(max_nodes=cfg.max_nodes, max_millis=millis)
+    return SolverBudget(max_nodes=args.max_nodes, max_millis=millis)
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
+def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
-        if getattr(cfg, name) is None:
+        if getattr(args, name) is None:
             flag = name.replace("_", "-")
             raise ValueError(f"--{flag} is required for this invocation")
 
@@ -187,67 +156,67 @@ def _write_descriptor(path: Path, desc) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    kind = cfg.kind
+def _cmd_generate(args: argparse.Namespace) -> int:
+    kind = args.kind
     if kind == "star":
-        _require(cfg, "n")
-        h, desc = full_star(cfg.n, cfg.k)
+        _require(args, "n")
+        h, desc = full_star(args.n, args.k)
     elif kind == "star-plus":
-        _require(cfg, "n", "r")
-        h, desc = star_plus(cfg.n, cfg.k, cfg.r)
+        _require(args, "n", "r")
+        h, desc = star_plus(args.n, args.k, args.r)
     elif kind in ("hkl", "hkl-prime"):
-        _require(cfg, "l")
-        if cfg.n is not None and cfg.n != 2 * cfg.k:
-            raise ValueError(f"this gadget lives on 2k = {2 * cfg.k} vertices, got --n {cfg.n}")
-        h, desc = (gadget_h if kind == "hkl" else gadget_h_prime)(cfg.k, cfg.l)
+        _require(args, "l")
+        if args.n is not None and args.n != 2 * args.k:
+            raise ValueError(f"this gadget lives on 2k = {2 * args.k} vertices, got --n {args.n}")
+        h, desc = (gadget_h if kind == "hkl" else gadget_h_prime)(args.k, args.l)
     elif kind == "example-a":
-        _require(cfg, "n", "variant")
-        h, desc = example_a(cfg.n, cfg.k, cfg.variant)
+        _require(args, "n", "variant")
+        h, desc = example_a(args.n, args.k, args.variant)
     elif kind == "example-b":
-        _require(cfg, "n", "c")
-        h, desc = example_b(cfg.n, cfg.k, cfg.c)
-    else:  # c64 / bes-layer-star
-        _require(cfg, "n", "r")
-        h, desc = bes_layer_star(cfg.n, cfg.k, cfg.r, cfg.seed)
-    write_hypergraph(h, cfg.out)
-    _write_descriptor(Path(cfg.out).with_suffix(".desc"), desc)
-    print(f"wrote {cfg.out} ({h.n} vertices, {len(h.edges)} edges)")
+        _require(args, "n", "c")
+        h, desc = example_b(args.n, args.k, args.c)
+    else:  # bes-layer-star
+        _require(args, "n", "r")
+        h, desc = bes_layer_star(args.n, args.k, args.r, args.seed)
+    write_hypergraph(h, args.out)
+    _write_descriptor(Path(args.out).with_suffix(".desc"), desc)
+    print(f"wrote {args.out} ({h.n} vertices, {len(h.edges)} edges)")
     return 0
 
 
-def _cmd_detect(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input)
-    res = find_regular(h, cfg.r, _budget(cfg))
+def _cmd_detect(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.input)
+    res = find_regular(h, args.r, _budget(args))
     if res.status is SolveStatus.FOUND:
         cert = res.certificate
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             print("status,edges,nodes")
             print(f"found,{len(cert.edge_indices)},{res.nodes}")
         else:
             print(f"FOUND {len(cert.edge_indices)} edges")
-        if cfg.certificate:
-            Path(cfg.certificate).write_text(serialize_certificate(cert), encoding="ascii")
+        if args.certificate:
+            Path(args.certificate).write_text(serialize_certificate(cert), encoding="ascii")
         return 0
     if res.status is SolveStatus.BUDGET_EXHAUSTED:
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             print("status,edges,nodes")
             print(f"budget,0,{res.nodes}")
         else:
             print(f"BUDGET EXHAUSTED after {res.nodes} nodes")
         return 3
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         print("status,edges,nodes")
         print(f"none,0,{res.nodes}")
     else:
         print("NONE (search complete)")
-    return 1 if cfg.expect_found else 0
+    return 1 if args.expect_found else 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input)
-    cert = parse_certificate(Path(cfg.certificate).read_text(encoding="ascii"))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.input)
+    cert = parse_certificate(Path(args.certificate).read_text(encoding="ascii"))
     ok, reason = verify_certificate(h, cert)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         print("result,reason")
         print("ok," if ok else f"fail,{reason}")
     else:
@@ -255,21 +224,21 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_find(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input)
-    if cfg.pattern == "sunflower":
-        _require(cfg, "p")
-        s = find_sunflower(h, cfg.p)
+def _cmd_find(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.input)
+    if args.pattern == "sunflower":
+        _require(args, "p")
+        s = find_sunflower(h, args.p)
         line = None if s is None else (
             f"SUNFLOWER petals={','.join(map(str, s.petals))}"
             f" core={','.join(map(str, s.core))}"
         )
-    elif cfg.pattern == "same-union":
+    elif args.pattern == "same-union":
         q = find_same_union(h)
         line = None if q is None else f"SAME-UNION a={q.a} b={q.b} c={q.c} d={q.d}"
     else:
-        _require(cfg, "k", "l")
-        copy = find_gadget_copy(h, cfg.k, cfg.l, prime=cfg.prime)
+        _require(args, "k", "l")
+        copy = find_gadget_copy(h, args.k, args.l, prime=args.prime)
         if copy is None:
             line = None
         else:
@@ -280,17 +249,17 @@ def _cmd_find(cfg: RunConfig) -> int:
                     f" parts={parts} pairs={pairs} edges={edges}")
     out = line if line is not None else "NONE"
     print(out)
-    if cfg.out:
-        Path(cfg.out).write_text(out + "\n", encoding="ascii")
+    if args.out:
+        Path(args.out).write_text(out + "\n", encoding="ascii")
     if line is None:
-        return 1 if cfg.expect_found else 0
+        return 1 if args.expect_found else 0
     return 0
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    rep = extremal_search(cfg.n, cfg.k, cfg.r, budget=_budget(cfg),
-                          isomorph_reject=cfg.isomorph_reject)
-    if cfg.fmt == "csv":
+def _cmd_search(args: argparse.Namespace) -> int:
+    rep = extremal_search(args.n, args.k, args.r, budget=_budget(args),
+                          isomorph_reject=args.isomorph_reject)
+    if args.format == "csv":
         print("n,k,r,optimum,complete,nodes")
         print(f"{rep.n},{rep.k},{rep.r},{rep.optimum},{int(rep.complete)},{rep.nodes}")
     else:
@@ -303,15 +272,15 @@ def _cmd_search(cfg: RunConfig) -> int:
         witness = ";".join(",".join(map(str, e)) for e in rep.witness.edges)
         print(f"witness {witness}" if witness else "witness")
     print(f"elapsed_ms {rep.elapsed_ms:.1f}", file=sys.stderr)
-    if cfg.out:
-        write_hypergraph(rep.witness, cfg.out)
+    if args.out:
+        write_hypergraph(rep.witness, args.out)
     return 0 if rep.complete else 3
 
 
-def _cmd_wedges(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input)
-    w = count_wedges(h, cfg.v, cfg.r)
-    if cfg.fmt == "csv":
+def _cmd_wedges(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.input)
+    w = count_wedges(h, args.v, args.r)
+    if args.format == "csv":
         print("edge,count")
         for i in sorted(w.per_edge):
             print(f"{i},{w.per_edge[i]}")
@@ -327,10 +296,10 @@ def _cmd_wedges(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input)
-    part = classify_3sets(h, cfg.v)
-    if cfg.fmt == "csv":
+def _cmd_classify(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.input)
+    part = classify_3sets(h, args.v)
+    if args.format == "csv":
         print("a,b,c,bad")
         flagged = {t: 0 for t in part.good}
         flagged.update({t: 1 for t in part.bad})
@@ -414,16 +383,16 @@ def emit_table(claim: str, params: dict) -> tuple[tuple[str, ...], list[tuple]]:
     raise ValueError(f"unknown claim {claim!r}")
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    params: dict = {"seed": cfg.seed}
+def _cmd_table(args: argparse.Namespace) -> int:
+    params: dict = {"seed": args.seed}
     for name in ("n", "k", "r", "c", "p", "n_max", "k_max"):
-        val = getattr(cfg, name)
+        val = getattr(args, name)
         if val is not None:
             params[name] = val
-    if cfg.claim in ("mv-conjecture", "star-extremal", "example-b") and "n_max" not in params:
+    if args.claim in ("mv-conjecture", "star-extremal", "example-b") and "n_max" not in params:
         raise ValueError("--n-max is required for this claim")
-    header, rows = emit_table(cfg.claim, params)
-    if cfg.fmt == "csv":
+    header, rows = emit_table(args.claim, params)
+    if args.format == "csv":
         print(",".join(header))
         for row in rows:
             print(",".join(str(x) for x in row))
@@ -437,18 +406,6 @@ def _cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "generate": _cmd_generate,
-    "detect": _cmd_detect,
-    "verify": _cmd_verify,
-    "find": _cmd_find,
-    "search": _cmd_search,
-    "wedges": _cmd_wedges,
-    "classify": _cmd_classify,
-    "table": _cmd_table,
-}
-
-
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -456,9 +413,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = _config(args)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return args.handler(args)
     except (ParseError, GuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

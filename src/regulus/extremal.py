@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import GuardError
 from .hypercore import Hypergraph, mask_of, vertices_of
-from .regdetect import SolverBudget, SolveStatus, _solve_masks, find_regular
+from .regdetect import SolverBudget, SolveStatus, _check_r, _RegularSearch, find_regular
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def extremal_search(
     """Exact ex(n, k, r) over the full C(n, k) universe (guarded to 64
     candidate edges).  With a budget the search may stop early, returning the
     best complete leaf seen and complete=False."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
+    _check_r(r)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if comb(n, k) > 64:
@@ -188,7 +187,7 @@ def extremal_search(
                 return
             seen_states.add(key)
         new = chosen + (universe[slot],)
-        res = _solve_masks(n, list(new), r, forced=len(new) - 1)
+        res = _RegularSearch(n, new, r).solve(None, len(new) - 1)
         if res.status is not SolveStatus.FOUND:
             dfs(slot + 1, new)
         dfs(slot + 1, chosen)

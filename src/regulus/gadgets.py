@@ -18,7 +18,7 @@ from math import comb, gcd
 
 from .errors import GuardError
 from .hypercore import Hypergraph, mask_of, vertices_of
-from .regdetect import Certificate
+from .regdetect import Certificate, _check_r
 
 
 class GadgetKind(str, Enum):
@@ -81,8 +81,7 @@ def star_plus(n: int, k: int, r: int) -> tuple[Hypergraph, GadgetDescriptor]:
 
     Needs r | k and n >= k + k/r + 1, which leaves room for the witness of
     an r-regular subgraph with r+1 edges through the extra edge."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
+    _check_r(r)
     if k % r != 0:
         raise ValueError(f"star_plus needs r | k, got k={k}, r={r}")
     if n < k + k // r + 1:
@@ -294,8 +293,7 @@ def bes_layer_star(n: int, k: int, r: int, seed: int) -> tuple[Hypergraph, Gadge
     edges and no r-regular subgraph (see verify_bes_layer_star)."""
     if k < 3:
         raise ValueError(f"bes_layer_star needs k >= 3, got k={k}")
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
+    _check_r(r)
     if n < k + 2:
         raise ValueError(f"bes_layer_star needs n >= k + 2, got n={n}")
     d = gcd(k, r)

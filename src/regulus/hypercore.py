@@ -36,6 +36,15 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _EdgeError(ValueError):
+    """A malformed edge.  `positions` index the offending edges in input
+    order: one edge, or for a duplicate its first occurrence and the repeat."""
+
+    def __init__(self, message: str, *positions: int):
+        super().__init__(message)
+        self.positions = positions
+
+
 class Hypergraph:
     """Immutable hypergraph with canonical (colex) edge storage.
 
@@ -55,23 +64,25 @@ class Hypergraph:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
         normalized: list[tuple[int, ...]] = []
-        for edge in edges:
+        first: dict[int, int] = {}  # edge mask -> position of its first occurrence
+        for i, edge in enumerate(edges):
             vs = tuple(edge)
+            mask = 0
             for v in vs:
                 if not isinstance(v, int) or v < 0 or v >= n:
-                    raise ValueError(f"vertex {v!r} out of range for n={n}")
+                    raise _EdgeError(f"vertex {v!r} out of range for n={n}", i)
+                mask |= 1 << v
             svs = tuple(sorted(vs))
-            for a, b in zip(svs, svs[1:]):
-                if a == b:
-                    raise ValueError(f"repeated vertex {a} within edge {vs!r}")
+            if mask.bit_count() != len(vs):
+                a = next(a for a, b in zip(svs, svs[1:]) if a == b)
+                raise _EdgeError(f"repeated vertex {a} within edge {vs!r}", i)
+            if mask in first:
+                raise _EdgeError(f"duplicate edge {svs!r}", first[mask], i)
+            first[mask] = i
             normalized.append(svs)
-        masked = sorted((mask_of(e), e) for e in normalized)
-        for (ma, _), (mb, eb) in zip(masked, masked[1:]):
-            if ma == mb:
-                raise ValueError(f"duplicate edge {eb!r}")
         self._n = n
-        self._edges = tuple(e for _, e in masked)
-        self._masks = tuple(m for m, _ in masked)
+        self._masks = tuple(sorted(first))
+        self._edges = tuple(normalized[first[m]] for m in self._masks)
         self._mask_index: dict[int, int] | None = None
         self._incidence: tuple[int, ...] | None = None
 
@@ -150,8 +161,9 @@ def parse(text: str) -> Hypergraph:
     First content line: "n m".  Then m lines, one edge each, vertices
     separated by spaces.  Blank lines and lines starting with '#' are
     ignored.  Vertex order within a line does not matter; repeated vertices
-    within a line and repeated edges across lines are errors (the latter
-    reported with both line numbers).
+    within a line and repeated edges across lines are errors.  The
+    Hypergraph constructor finds them; parse adds the line number (both line
+    numbers for a repeated edge, its first occurrence first).
     """
     content: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -174,26 +186,23 @@ def parse(text: str) -> Hypergraph:
     body = content[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}")
-    edges: list[tuple[int, ...]] = []
-    seen: dict[int, int] = {}
-    for lineno, line in body:
-        try:
-            vs = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        for v in vs:
-            if v < 0 or v >= n:
-                raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
-        svs = tuple(sorted(vs))
-        for a, b in zip(svs, svs[1:]):
-            if a == b:
-                raise ParseError(f"line {lineno}: repeated vertex {a} within edge")
-        msk = mask_of(svs)
-        if msk in seen:
-            raise ParseError(f"duplicate edge (lines {seen[msk]} and {lineno})")
-        seen[msk] = lineno
-        edges.append(svs)
-    return Hypergraph(n, edges)
+
+    def edges():
+        # Lazy, so that the first bad line in input order is the one reported.
+        for lineno, line in body:
+            try:
+                edge = tuple(map(int, line.split()))
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer vertex in {line!r}") from None
+            yield edge
+
+    try:
+        return Hypergraph(n, edges())
+    except _EdgeError as exc:
+        lines = [body[p][0] for p in exc.positions]
+        if len(lines) == 2:
+            raise ParseError(f"duplicate edge (lines {lines[0]} and {lines[1]})") from None
+        raise ParseError(f"line {lines[0]}: {exc}") from None
 
 
 def serialize(h: Hypergraph) -> str:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-import numpy as np
-
 from .errors import GuardError, ParseError
 from .hypercore import Hypergraph, vertices_of
 
@@ -57,6 +55,13 @@ class SolveResult:
 
 
 _UNDEC, _IN, _OUT = 0, 1, 2
+
+
+def _check_r(r) -> None:
+    """The one contract on r everywhere: an integer >= 2 (at r = 1 every
+    single edge would be a regular subgraph)."""
+    if not isinstance(r, int) or r < 2:
+        raise ValueError(f"r must be an integer >= 2, got {r!r}")
 
 
 class _BudgetHit(Exception):
@@ -232,17 +237,17 @@ class _RegularSearch:
         return None
 
     def solve(self, budget: SolverBudget | None, forced: int | None = None) -> SolveResult:
+        """Run the search; `forced` pre-includes one edge (used by the
+        extremal module, where the rest of the edge set is already known free)."""
         if budget is not None:
             self.max_nodes = budget.max_nodes
             if budget.max_millis is not None:
                 self.deadline = time.monotonic() + budget.max_millis / 1000.0
         trail: list[int] = []
         pending = list(range(self.n))
-        ok = True
         if forced is not None:
             self._include(forced, trail, pending)
-        if ok:
-            ok = self._propagate(trail, pending)
+        ok = self._propagate(trail, pending)
         if ok and self.included and self.active == 0:
             return self._result(SolveStatus.FOUND, tuple(sorted(self.included)))
         if not ok:
@@ -265,13 +270,6 @@ class _RegularSearch:
         return SolveResult(status=stat, certificate=cert, nodes=self.nodes)
 
 
-def _solve_masks(n: int, edge_masks, r: int, budget: SolverBudget | None = None,
-                 forced: int | None = None) -> SolveResult:
-    """Search over raw masks; `forced` pre-includes one edge (used by the
-    extremal module, where the rest of the edge set is already known free)."""
-    return _RegularSearch(n, edge_masks, r).solve(budget, forced)
-
-
 def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> SolveResult:
     """Exact search for an r-regular subgraph.
 
@@ -280,16 +278,17 @@ def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> S
     only when the search completed.  BUDGET_EXHAUSTED reports the node
     count reached; reruns with the same node budget are identical.
     """
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
-    return _solve_masks(h.n, h.edge_masks, r, budget)
+    _check_r(r)
+    return _RegularSearch(h.n, h.edge_masks, r).solve(budget)
 
 
 def brute_force_regular(h: Hypergraph, r: int) -> Certificate | None:
     """Oracle: scan all nonempty edge subsets in ascending subset-mask order
-    and return the first r-regular one.  Guarded to |E| <= 25."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
+    and return the first r-regular one.  Guarded to |E| <= 25.  The only
+    user of numpy, imported on first call."""
+    import numpy as np
+
+    _check_r(r)
     m = len(h.edges)
     if m > 25:
         raise GuardError(f"brute_force_regular is limited to 25 edges, got {m}")
@@ -336,8 +335,13 @@ def verify_certificate(h: Hypergraph, cert: Certificate) -> tuple[bool, str]:
     """Recompute the degree vector of the certificate's edges and check it.
 
     Returns (True, "ok") or (False, reason) with reason one of:
-    "empty", "bad-index", "bad-degree", "covered-mismatch".
+    "bad-r" (r is not an integer >= 2), "empty", "bad-index", "bad-degree",
+    "covered-mismatch".
     """
+    try:
+        _check_r(cert.r)
+    except ValueError:
+        return False, "bad-r"
     if not cert.edge_indices:
         return False, "empty"
     m = len(h.edges)
@@ -371,9 +375,13 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Inverse of serialize_certificate; only blank lines may follow the third."""
     lines = text.splitlines()
     if len(lines) < 3:
         raise ParseError("certificate needs three lines: header, edges, covered")
+    for lineno, extra in enumerate(lines[3:], 4):
+        if extra.strip():
+            raise ParseError(f"line {lineno}: unexpected content after the covered vertices")
     head = lines[0].split()
     if len(head) != 2:
         raise ParseError(f"malformed certificate header {lines[0]!r}")
@@ -383,6 +391,12 @@ def parse_certificate(text: str) -> Certificate:
         covered = tuple(int(t) for t in lines[2].split())
     except ValueError:
         raise ParseError("non-integer field in certificate") from None
+    try:
+        _check_r(r)
+    except ValueError as exc:
+        raise ParseError(f"certificate {exc}") from None
+    if m < 0:
+        raise ParseError(f"malformed certificate header {lines[0]!r}, edge count must be nonnegative")
     if len(indices) != m:
         raise ParseError(f"certificate header says {m} edges, found {len(indices)}")
     return Certificate(r=r, edge_indices=indices, covered=covered)

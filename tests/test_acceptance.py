@@ -232,7 +232,7 @@ def test_cli_output_is_byte_identical_across_reruns(tmp_path):
          "--variant", "r-eq-k", "--out", f"{d}/ea.hg"],
         ["generate", "--kind", "example-b", "--n", "7", "--k", "3", "--c", "2",
          "--out", f"{d}/eb.hg"],
-        ["generate", "--kind", "c64", "--n", "9", "--k", "4", "--r", "3",
+        ["generate", "--kind", "bes-layer-star", "--n", "9", "--k", "4", "--r", "3",
          "--seed", "0", "--out", f"{d}/c64.hg"],
         ["detect", "--input", f"{d}/star.hg", "--r", "2"],
         ["detect", "--input", f"{d}/star.hg", "--r", "2", "--format", "csv"],

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,14 @@ from regulus.hypercore import parse, read_hypergraph, serialize, write_hypergrap
 from regulus.regdetect import parse_certificate, verify_certificate
 
 FANO_TEXT = "7 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python(*argv):
+    """A fresh interpreter that imports regulus from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("REGULUS_MAX_MILLIS", None)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +59,7 @@ def test_generate_star_plus_descriptor(tmp_path, capsys):
 
 def test_generate_layered_star_has_seeded_params(tmp_path, capsys):
     out = tmp_path / "c.hg"
-    code, _, _ = invoke(capsys, "generate", "--kind", "c64", "--n", "9",
+    code, _, _ = invoke(capsys, "generate", "--kind", "bes-layer-star", "--n", "9",
                         "--k", "4", "--r", "3", "--seed", "5", "--out", str(out))
     assert code == 0
     desc = (tmp_path / "c.desc").read_text()
@@ -151,6 +163,30 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert code == 1
     assert stdout.splitlines()[0] == "result,reason"
     assert stdout.splitlines()[1].startswith("fail,")
+
+
+@pytest.mark.parametrize("text", [
+    "1 1\n0\n0 1 2\nextra junk\n",  # r = 1 and a trailing line
+    "3 1\n0\n0 1 2\n\n4 5\n",       # a trailing line after a blank one
+    "-3 1\n0\n0 1 2\n",              # r < 2
+], ids=["r1-and-trailing-line", "trailing-line-after-blank", "negative-r"])
+def test_verify_malformed_certificate_is_input_error(tmp_path, text):
+    path = tmp_path / "h.hg"
+    path.write_text("4 2\n0 1 2\n1 2 3\n")
+    cert_path = tmp_path / "bad.cert"
+    cert_path.write_text(text)
+    proc = python("-m", "regulus.cli", "verify", "--input", str(path),
+                  "--certificate", str(cert_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = python("-c", "import sys, regulus.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_find_sunflower(tmp_path, capsys):
@@ -346,6 +382,8 @@ def test_emit_table_rejects_unknown_claim():
 def test_usage_errors(tmp_path, capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
     assert invoke(capsys, "detect", "--input", "nope.hg")[0] == 2  # missing --r
+    assert invoke(capsys, "generate", "--kind", "c64", "--n", "9", "--k", "4", "--r", "3",
+                  "--out", str(tmp_path / "c.hg"))[0] == 2  # the alias is gone
     code, _, err = invoke(capsys, "detect", "--input",
                           str(tmp_path / "missing.hg"), "--r", "2")
     assert code == 2

@@ -108,6 +108,24 @@ def test_parse_errors_carry_line_numbers():
         parse("# nothing\n")
 
 
+@pytest.mark.parametrize("n, edges, message, parse_message", [
+    (4, [(0, 1, 2), (1, 2, 9)],
+     "vertex 9 out of range for n=4", "line 3: vertex 9 out of range for n=4"),
+    (4, [(0, 1, 2), (3, 1, 3)],
+     "repeated vertex 3 within edge (3, 1, 3)", "line 3: repeated vertex 3 within edge (3, 1, 3)"),
+    (4, [(0, 1, 2), (1, 2, 3), (2, 1, 0), (1, 0, 2)],
+     "duplicate edge (0, 1, 2)", "duplicate edge (lines 2 and 4)"),
+], ids=["out-of-range", "repeated-vertex", "edge-three-times"])
+def test_parse_and_constructor_report_the_same_edge_error(n, edges, message, parse_message):
+    with pytest.raises(ValueError) as direct:
+        Hypergraph(n, edges)
+    assert str(direct.value) == message
+    text = f"{n} {len(edges)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)
+    with pytest.raises(ParseError) as parsed:
+        parse(text)
+    assert str(parsed.value) == parse_message
+
+
 def test_serialize_parse_roundtrip_random():
     rng = random.Random(11)
     for _ in range(60):

@@ -7,7 +7,8 @@ import pytest
 
 from oracles import regular_subset
 from regulus.errors import GuardError, ParseError
-from regulus.gadgets import full_star, gadget_h, star_plus
+from regulus.extremal import extremal_search
+from regulus.gadgets import bes_layer_star, full_star, gadget_h, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform, degree_vector, vertices_of
 from regulus.regdetect import (
     Certificate,
@@ -61,10 +62,11 @@ def test_empty_hypergraph():
 def test_r_must_be_at_least_two():
     h = Hypergraph(3, [(0, 1, 2)])
     for bad in (0, 1, -2, 2.0):
-        with pytest.raises(ValueError):
-            find_regular(h, bad)
-        with pytest.raises(ValueError):
-            brute_force_regular(h, bad)
+        for call in (lambda: find_regular(h, bad), lambda: brute_force_regular(h, bad),
+                     lambda: extremal_search(4, 3, bad), lambda: star_plus(8, 3, bad),
+                     lambda: bes_layer_star(9, 4, bad, 0)):
+            with pytest.raises(ValueError, match=f"r must be an integer >= 2, got {bad!r}"):
+                call()
 
 
 def test_non_uniform_input_is_accepted():
@@ -196,6 +198,12 @@ def test_verify_rejects_tampered_certificates():
     wrong_r = Certificate(r=2, edge_indices=cert.edge_indices, covered=cert.covered)
     assert verify_certificate(h, wrong_r) == (False, "bad-degree")
 
+    one_edge = Certificate(r=1, edge_indices=(0,), covered=(0, 1, 2))
+    assert verify_certificate(Hypergraph(4, [(0, 1, 2), (1, 2, 3)]), one_edge) == (False, "bad-r")
+    for r in (0, -3, 2.0):
+        bad_r = Certificate(r=r, edge_indices=cert.edge_indices, covered=cert.covered)
+        assert verify_certificate(h, bad_r) == (False, "bad-r")
+
 
 def test_certificate_serialization_roundtrip():
     cert = Certificate(r=3, edge_indices=(0, 2, 5, 9), covered=(0, 1, 2, 3, 4))
@@ -213,6 +221,16 @@ def test_certificate_parse_errors():
         parse_certificate("3 2\n0\n0 1 2\n")
     with pytest.raises(ParseError):
         parse_certificate("3 1\n0 x\n0 1 2\n")
+    with pytest.raises(ParseError, match="line 4: unexpected content"):
+        parse_certificate("1 1\n0\n0 1 2\nextra junk\n")
+    with pytest.raises(ParseError, match="line 5: unexpected content"):
+        parse_certificate("3 1\n0\n0 1 2\n\nextra junk\n")
+    for r in (1, 0, -3):
+        with pytest.raises(ParseError, match=f"r must be an integer >= 2, got {r}"):
+            parse_certificate(f"{r} 1\n0\n0 1 2\n")
+    with pytest.raises(ParseError, match="edge count must be nonnegative"):
+        parse_certificate("3 -1\n\n\n")
+    assert parse_certificate("3 1\n0\n0 1 2\n\n") == Certificate(3, (0,), (0, 1, 2))
 
 
 def test_found_certificates_have_consistent_covered_set():
