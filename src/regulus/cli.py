@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
-from itertools import combinations
-from math import comb, factorial
+from math import comb
 from pathlib import Path
 
 from .errors import GuardError, ParseError
@@ -31,8 +29,8 @@ from .gadgets import (
     gadget_h_prime,
     star_plus,
 )
-from .hypercore import Hypergraph, read_hypergraph, write_hypergraph
-from .patterns import find_gadget_copy, find_same_union, find_sunflower, greedy_sunflower
+from .hypercore import read_hypergraph, write_hypergraph
+from .patterns import find_gadget_copy, find_same_union, find_sunflower
 from .regdetect import (
     SolverBudget,
     SolveStatus,
@@ -42,7 +40,7 @@ from .regdetect import (
     verify_certificate,
 )
 
-_CLAIMS = ("mv-conjecture", "star-extremal", "example-b", "sunflower-bounds")
+_CLAIMS = ("mv-conjecture", "star-extremal", "example-b")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,9 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", type=int)
     t.add_argument("--r", type=int)
     t.add_argument("--c", type=int)
-    t.add_argument("--p", type=int)
     t.add_argument("--n-max", type=int)
-    t.add_argument("--k-max", type=int)
     return parser
 
 
@@ -316,7 +312,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def emit_table(claim: str, params: dict) -> tuple[tuple[str, ...], list[tuple]]:
     """Rows for one desk-scale claim table; every row names its method
-    (exhaustive | solver | formula | sampled)."""
+    (exhaustive | solver)."""
     if claim == "mv-conjecture":
         k = params.get("k", 3)
         r = params.get("r", 2)
@@ -354,42 +350,16 @@ def emit_table(claim: str, params: dict) -> tuple[tuple[str, ...], list[tuple]]:
             rows.append((n, k, c, len(h.edges), r,
                          int(res.status is SolveStatus.NONE_EXISTS), "solver"))
         return header, rows
-    if claim == "sunflower-bounds":
-        p = params.get("p", 3)
-        k_max = params.get("k_max", 3)
-        seed = params.get("seed", 0)
-        header = ("k", "p", "lower", "upper", "observed", "method")
-        rows = []
-        for k in range(1, k_max + 1):
-            lower = (p - 1) ** k
-            upper = lower * factorial(k)
-            n = k * (p - 1) + 2
-            all_edges = list(combinations(range(n), k))
-            observed = upper + 1
-            for size in range(lower + 1, upper + 2):
-                ok = True
-                for trial in range(20):
-                    rng = random.Random(seed * 1_000_003 + k * 10_007 + size * 101 + trial)
-                    sample = rng.sample(range(len(all_edges)), size)
-                    fam = Hypergraph(n, [all_edges[i] for i in sample])
-                    if greedy_sunflower(fam, p) is None:
-                        ok = False
-                        break
-                if ok:
-                    observed = size
-                    break
-            rows.append((k, p, lower, upper, observed, "sampled"))
-        return header, rows
     raise ValueError(f"unknown claim {claim!r}")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    params: dict = {"seed": args.seed}
-    for name in ("n", "k", "r", "c", "p", "n_max", "k_max"):
+    params: dict = {}
+    for name in ("n", "k", "r", "c", "n_max"):
         val = getattr(args, name)
         if val is not None:
             params[name] = val
-    if args.claim in ("mv-conjecture", "star-extremal", "example-b") and "n_max" not in params:
+    if "n_max" not in params:
         raise ValueError("--n-max is required for this claim")
     header, rows = emit_table(args.claim, params)
     if args.format == "csv":

@@ -15,8 +15,9 @@ from itertools import combinations, permutations
 from math import comb
 
 from .errors import GuardError
-from .hypercore import Hypergraph, mask_of, vertices_of
-from .regdetect import SolverBudget, SolveStatus, _check_r, _RegularSearch, find_regular
+from .hypercore import Hypergraph, mask_of
+from .regdetect import SolverBudget, SolveStatus, find_regular
+from .regdetect import _check_r, _limits, _RegularSearch, _spent
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,6 @@ class ThreeSetPartition:
     v: int
     good: tuple[tuple[int, int, int], ...]
     bad: tuple[tuple[int, int, int], ...]
-
-
-class _OuterBudget(Exception):
-    pass
 
 
 def _comb0(a: int, b: int) -> int:
@@ -128,7 +125,11 @@ def extremal_search(
 ) -> SearchReport:
     """Exact ex(n, k, r) over the full C(n, k) universe (guarded to 64
     candidate edges).  With a budget the search may stop early, returning the
-    best complete leaf seen and complete=False."""
+    best complete leaf seen and complete=False.  The budget follows the
+    solver's rule: a node budget N visits at most N outer nodes (nodes is
+    then N), and max_millis is checked at every outer node and inside every
+    inner solve, whose running out also ends the search.  The witness's
+    freeness re-check always runs to the end."""
     _check_r(r)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -137,76 +138,65 @@ def extremal_search(
     if isomorph_reject and n > 7:
         raise GuardError("isomorph rejection is limited to n <= 7")
 
-    universe = sorted(mask_of(e) for e in combinations(range(n), k))
+    universe = sorted(combinations(range(n), k), key=mask_of)
     total = len(universe)
     start = time.perf_counter()
-    deadline = None
-    if budget is not None and budget.max_millis is not None:
-        deadline = start + budget.max_millis / 1000.0
-    max_nodes = budget.max_nodes if budget is not None else None
+    max_nodes, deadline = _limits(budget)
 
-    best_count = -1
-    best_masks: tuple[int, ...] = ()
+    best: tuple[tuple[int, ...], ...] = ()
     nodes = 0
     seen_states: set = set()
     perms = list(permutations(range(n))) if isomorph_reject else []
 
-    def canon(chosen: tuple[int, ...], slot: int):
+    def canon(chosen: tuple[tuple[int, ...], ...], slot: int):
         chosen_set = set(chosen)
-        excluded = [universe[i] for i in range(slot) if universe[i] not in chosen_set]
+        excluded = [e for e in universe[:slot] if e not in chosen_set]
         best = None
         for pi in perms:
-            mapped_c = tuple(sorted(
-                sum(1 << pi[v] for v in vertices_of(m)) for m in chosen
-            ))
-            mapped_e = tuple(sorted(
-                sum(1 << pi[v] for v in vertices_of(m)) for m in excluded
-            ))
+            mapped_c = tuple(sorted(sum(1 << pi[v] for v in e) for e in chosen))
+            mapped_e = tuple(sorted(sum(1 << pi[v] for v in e) for e in excluded))
             key = (mapped_c, mapped_e)
             if best is None or key < best:
                 best = key
         return slot, best
 
-    def dfs(slot: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best_count, best_masks, nodes
+    # Include-first DFS; a node's excluded child is pushed below its
+    # included one, so it is visited after the whole included subtree.
+    stack: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(0, ())]
+    complete = True
+    while stack:
+        if _spent(nodes, max_nodes, deadline):
+            complete = False
+            break
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _OuterBudget
-        if deadline is not None and nodes % 64 == 0 and time.perf_counter() > deadline:
-            raise _OuterBudget
+        slot, chosen = stack.pop()
         if slot == total:
-            if len(chosen) > best_count:
-                best_count = len(chosen)
-                best_masks = chosen
-            return
-        if len(chosen) + (total - slot) <= best_count:
-            return
+            if len(chosen) > len(best):
+                best = chosen
+            continue
+        if len(chosen) + (total - slot) <= len(best):
+            continue
         if isomorph_reject and slot < 8:
             key = canon(chosen, slot)
             if key in seen_states:
-                return
+                continue
             seen_states.add(key)
+        stack.append((slot + 1, chosen))
         new = chosen + (universe[slot],)
-        res = _RegularSearch(n, new, r).solve(None, len(new) - 1)
-        if res.status is not SolveStatus.FOUND:
-            dfs(slot + 1, new)
-        dfs(slot + 1, chosen)
+        res = _RegularSearch(n, new, r).solve(None, deadline, len(new) - 1)
+        if res.status is SolveStatus.BUDGET_EXHAUSTED:
+            complete = False
+            break
+        if res.status is SolveStatus.NONE_EXISTS:
+            stack.append((slot + 1, new))
 
-    complete = True
-    try:
-        dfs(0, ())
-    except _OuterBudget:
-        complete = False
-
-    if best_count < 0:
-        best_count, best_masks = 0, ()
-    witness = Hypergraph(n, [vertices_of(m) for m in best_masks])
+    witness = Hypergraph(n, best)
     check = find_regular(witness, r)
     if check.status is not SolveStatus.NONE_EXISTS:
         raise AssertionError("search witness failed its freeness re-verification")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SearchReport(
-        n=n, k=k, r=r, optimum=best_count, witness=witness,
+        n=n, k=k, r=r, optimum=len(best), witness=witness,
         complete=complete, nodes=nodes, elapsed_ms=elapsed_ms,
     )
 

@@ -5,6 +5,10 @@ every vertex covered by S is covered exactly r times (and vertices outside
 the covered set are untouched).  find_regular runs a propagating DFS over
 edges in colex order; brute_force_regular is the independent oracle that
 enumerates all nonempty edge subsets in ascending subset-mask order.
+
+One budget rule serves this search and extremal_search: a node budget N
+visits at most N nodes and reports exactly N when it runs out, and
+max_millis is a time.monotonic() deadline checked before every node.
 """
 
 from __future__ import annotations
@@ -64,8 +68,20 @@ def _check_r(r) -> None:
         raise ValueError(f"r must be an integer >= 2, got {r!r}")
 
 
-class _BudgetHit(Exception):
-    pass
+def _limits(budget: SolverBudget | None) -> tuple[int | None, float | None]:
+    """A budget as (max_nodes, time.monotonic() deadline from now)."""
+    if budget is None:
+        return None, None
+    if budget.max_millis is None:
+        return budget.max_nodes, None
+    return budget.max_nodes, time.monotonic() + budget.max_millis / 1000.0
+
+
+def _spent(nodes: int, max_nodes: int | None, deadline: float | None) -> bool:
+    """The budget rule of both searches, asked before every node: a node is
+    visited only while fewer than max_nodes have been and the deadline has
+    not passed, so a node budget N visits at most N nodes."""
+    return nodes == max_nodes or (deadline is not None and time.monotonic() > deadline)
 
 
 class _RegularSearch:
@@ -78,16 +94,19 @@ class _RegularSearch:
     deficiency (active vertex that can no longer reach r).  A subsumption
     check prunes branches where an active vertex needs more than another one
     through which all of its candidates pass.
+
+    `edges` are vertex tuples, indexed in the order given; the per-vertex
+    incidence is an int bitmask over those indices.  One instance runs one
+    solve.
     """
 
-    def __init__(self, n: int, edge_masks, r: int):
+    def __init__(self, n: int, edges, r: int):
         self.n = n
         self.r = r
-        self.masks = tuple(edge_masks)
-        self.m = len(self.masks)
-        self.verts = [vertices_of(mk) for mk in self.masks]
+        self.edges = edges
+        self.m = len(edges)
         inc = [0] * n
-        for i, vs in enumerate(self.verts):
+        for i, vs in enumerate(edges):
             bit = 1 << i
             for v in vs:
                 inc[v] |= bit
@@ -98,15 +117,13 @@ class _RegularSearch:
         self.included: list[int] = []
         self.active = 0
         self.nodes = 0
-        self.max_nodes: int | None = None
-        self.deadline: float | None = None
 
     # -- primitive state changes, recorded on the trail ----------------
 
     def _exclude(self, e: int, trail: list, pending: list) -> None:
         self.status[e] = _OUT
         trail.append(-e - 1)
-        for v in self.verts[e]:
+        for v in self.edges[e]:
             self.rem[v] -= 1
             self.undec[v] &= ~(1 << e)
             pending.append(v)
@@ -116,7 +133,7 @@ class _RegularSearch:
         trail.append(e)
         self.included.append(e)
         r = self.r
-        for v in self.verts[e]:
+        for v in self.edges[e]:
             self.rem[v] -= 1
             self.undec[v] &= ~(1 << e)
             old = self.deg[v]
@@ -135,7 +152,7 @@ class _RegularSearch:
                 e = t
                 self.status[e] = _UNDEC
                 self.included.pop()
-                for v in self.verts[e]:
+                for v in self.edges[e]:
                     self.rem[v] += 1
                     self.undec[v] |= 1 << e
                     new = self.deg[v]
@@ -147,7 +164,7 @@ class _RegularSearch:
             else:
                 e = -t - 1
                 self.status[e] = _UNDEC
-                for v in self.verts[e]:
+                for v in self.edges[e]:
                     self.rem[v] += 1
                     self.undec[v] |= 1 << e
 
@@ -183,7 +200,7 @@ class _RegularSearch:
                     e = low.bit_length() - 1
                     if status[e] != _UNDEC:
                         continue
-                    for w in self.verts[e]:
+                    for w in self.edges[e]:
                         if deg[w] >= r:
                             return False
                     self._include(e, trail, pending)
@@ -200,73 +217,60 @@ class _RegularSearch:
                     return True
         return False
 
-    def _tick(self) -> None:
-        if self.max_nodes is not None and self.nodes >= self.max_nodes:
-            raise _BudgetHit
-        self.nodes += 1
-        if self.deadline is not None and self.nodes & 1023 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetHit
+    # -- the search ------------------------------------------------------
 
-    def _dfs(self, ptr: int) -> tuple[int, ...] | None:
-        status = self.status
-        m = self.m
-        while ptr < m and status[ptr] != _UNDEC:
-            ptr += 1
-        if ptr == m:
-            return None
-        for decision in (_IN, _OUT):
-            self._tick()
-            trail: list[int] = []
-            pending: list[int] = []
-            if decision == _IN:
-                self._include(ptr, trail, pending)
-            else:
-                self._exclude(ptr, trail, pending)
-            ok = self._propagate(trail, pending)
-            if ok and self.included and self.active == 0:
-                found = tuple(sorted(self.included))
-                self._undo(trail)
-                return found
-            if ok and not self._subsumed():
-                res = self._dfs(ptr + 1)
-                if res is not None:
-                    self._undo(trail)
-                    return res
-            self._undo(trail)
-        return None
-
-    def solve(self, budget: SolverBudget | None, forced: int | None = None) -> SolveResult:
-        """Run the search; `forced` pre-includes one edge (used by the
-        extremal module, where the rest of the edge set is already known free)."""
-        if budget is not None:
-            self.max_nodes = budget.max_nodes
-            if budget.max_millis is not None:
-                self.deadline = time.monotonic() + budget.max_millis / 1000.0
+    def solve(self, max_nodes: int | None, deadline: float | None,
+              forced: int | None = None) -> SolveResult:
+        """Include-first DFS over the undecided edges in index order, as a
+        loop over a stack with one (edge, decision, trail) frame per decision
+        on the current path.  A node is one decision; `_spent` is asked
+        before each.  `forced` pre-includes one edge (used by the extremal
+        module, where the rest of the edge set is already known free)."""
         trail: list[int] = []
         pending = list(range(self.n))
         if forced is not None:
             self._include(forced, trail, pending)
-        ok = self._propagate(trail, pending)
-        if ok and self.included and self.active == 0:
-            return self._result(SolveStatus.FOUND, tuple(sorted(self.included)))
-        if not ok:
-            return self._result(SolveStatus.NONE_EXISTS, None)
-        try:
-            found = self._dfs(0)
-        except _BudgetHit:
-            return self._result(SolveStatus.BUDGET_EXHAUSTED, None)
-        if found is None:
-            return self._result(SolveStatus.NONE_EXISTS, None)
-        return self._result(SolveStatus.FOUND, found)
+        if not self._propagate(trail, pending):
+            return self._result(SolveStatus.NONE_EXISTS)
+        status, m = self.status, self.m
+        stack: list[tuple[int, int, list[int]]] = []
+        ptr, decision = 0, _IN
+        while True:
+            if self.included and self.active == 0:
+                return self._result(SolveStatus.FOUND)
+            while ptr < m and status[ptr] != _UNDEC:
+                ptr += 1
+            if ptr < m:
+                if _spent(self.nodes, max_nodes, deadline):
+                    return self._result(SolveStatus.BUDGET_EXHAUSTED)
+                self.nodes += 1
+                trail, pending = [], []
+                if decision == _IN:
+                    self._include(ptr, trail, pending)
+                else:
+                    self._exclude(ptr, trail, pending)
+                stack.append((ptr, decision, trail))
+                # With no active vertex nothing is subsumed, so a found
+                # subgraph always reaches the check at the top of the loop.
+                if self._propagate(trail, pending) and not self._subsumed():
+                    ptr, decision = ptr + 1, _IN
+                    continue
+            # Backtrack to the deepest decision whose OUT branch is still open.
+            while stack:
+                ptr, decision, trail = stack.pop()
+                self._undo(trail)
+                if decision == _IN:
+                    decision = _OUT
+                    break
+            else:
+                return self._result(SolveStatus.NONE_EXISTS)
 
-    def _result(self, stat: SolveStatus, found: tuple[int, ...] | None) -> SolveResult:
+    def _result(self, stat: SolveStatus) -> SolveResult:
         cert = None
-        if found is not None:
-            cov = 0
-            for e in found:
-                cov |= self.masks[e]
-            cert = Certificate(r=self.r, edge_indices=found, covered=vertices_of(cov))
+        if stat is SolveStatus.FOUND:
+            found = tuple(sorted(self.included))
+            covered = tuple(sorted({v for e in found for v in self.edges[e]}))
+            cert = Certificate(r=self.r, edge_indices=found, covered=covered)
         return SolveResult(status=stat, certificate=cert, nodes=self.nodes)
 
 
@@ -276,10 +280,13 @@ def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> S
     FOUND comes with a certificate (the first solution in search order:
     include-first DFS over edges in colex order).  NONE_EXISTS is reported
     only when the search completed.  BUDGET_EXHAUSTED reports the node
-    count reached; reruns with the same node budget are identical.
+    count reached: exactly max_nodes when the node budget ran out.  Reruns
+    with the same node budget are identical.  The max_millis clock starts
+    after the set-up, when the search does.
     """
     _check_r(r)
-    return _RegularSearch(h.n, h.edge_masks, r).solve(budget)
+    search = _RegularSearch(h.n, h.edges, r)
+    return search.solve(*_limits(budget))
 
 
 def brute_force_regular(h: Hypergraph, r: int) -> Certificate | None:

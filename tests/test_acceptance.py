@@ -259,7 +259,6 @@ def test_cli_output_is_byte_identical_across_reruns(tmp_path):
          "--n-max", "6"],
         ["table", "--claim", "example-b", "--k", "3", "--c", "2", "--n-max", "6",
          "--format", "csv"],
-        ["table", "--claim", "sunflower-bounds", "--p", "3", "--k-max", "2"],
     ]
     env = {k: v for k, v in os.environ.items() if k != "REGULUS_MAX_MILLIS"}
 

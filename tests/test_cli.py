@@ -135,6 +135,17 @@ def test_detect_budget_exhaustion(tmp_path, capsys):
     assert stdout.startswith("BUDGET EXHAUSTED after ")
 
 
+def test_detect_wide_host_ends_on_its_node_budget(tmp_path):
+    # 1081 edges, more than the interpreter's default recursion limit
+    path = tmp_path / "wide.hg"
+    write_hypergraph(full_star(48, 3)[0], str(path))
+    proc = python("-m", "regulus.cli", "detect", "--input", str(path), "--r", "2",
+                  "--max-nodes", "2000", "--format", "csv")
+    assert proc.returncode == 3
+    assert proc.stdout == "status,edges,nodes\nbudget,0,2000\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_detect_env_budget_and_flag_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.hg"
     write_hypergraph(full_star(10, 5)[0], str(path))
@@ -268,6 +279,13 @@ def test_search_budget_exit_code(capsys):
     assert "complete no" in stdout
 
 
+def test_search_node_budget_reports_exactly_the_budget(capsys):
+    code, stdout, _ = invoke(capsys, "search", "--n", "7", "--k", "3", "--r", "2",
+                             "--max-nodes", "10000", "--format", "csv")
+    assert code == 3
+    assert stdout.splitlines() == ["n,k,r,optimum,complete,nodes", "7,3,2,15,0,10000"]
+
+
 def test_search_guard_is_usage_error(capsys):
     code, _, err = invoke(capsys, "search", "--n", "9", "--k", "4", "--r", "2")
     assert code == 2
@@ -348,17 +366,6 @@ def test_table_example_b(capsys):
     ]
 
 
-def test_table_sunflower_bounds(capsys):
-    code, stdout, _ = invoke(capsys, "table", "--claim", "sunflower-bounds",
-                             "--p", "3", "--k-max", "2", "--format", "csv")
-    assert code == 0
-    assert stdout.splitlines() == [
-        "k,p,lower,upper,observed,method",
-        "1,3,2,2,3,sampled",
-        "2,3,4,8,6,sampled",
-    ]
-
-
 def test_table_text_is_aligned(capsys):
     code, stdout, _ = invoke(capsys, "table", "--claim", "star-extremal",
                              "--k", "3", "--r", "2", "--n-max", "5")
@@ -384,6 +391,7 @@ def test_usage_errors(tmp_path, capsys):
     assert invoke(capsys, "detect", "--input", "nope.hg")[0] == 2  # missing --r
     assert invoke(capsys, "generate", "--kind", "c64", "--n", "9", "--k", "4", "--r", "3",
                   "--out", str(tmp_path / "c.hg"))[0] == 2  # the alias is gone
+    assert invoke(capsys, "table", "--claim", "sunflower-bounds", "--n-max", "5")[0] == 2
     code, _, err = invoke(capsys, "detect", "--input",
                           str(tmp_path / "missing.hg"), "--r", "2")
     assert code == 2

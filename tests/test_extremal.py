@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -89,11 +90,21 @@ def test_parameter_validation():
 def test_budget_interrupts_search():
     rep = extremal_search(6, 3, 2, budget=SolverBudget(max_nodes=20))
     assert not rep.complete
-    assert rep.nodes <= 21
+    assert rep.nodes == 20
     assert find_regular(rep.witness, 2).status is SolveStatus.NONE_EXISTS
     again = extremal_search(6, 3, 2, budget=SolverBudget(max_nodes=20))
     assert again.optimum == rep.optimum
     assert again.nodes == rep.nodes
+
+
+def test_deadline_reaches_the_inner_solves():
+    # at r = 5 the inner solves dominate: the deadline must stop them too,
+    # and a solve cut short must not let its edge in as free
+    start = time.monotonic()
+    rep = extremal_search(7, 4, 5, budget=SolverBudget(max_millis=100))
+    assert time.monotonic() - start < 2.0
+    assert not rep.complete
+    assert find_regular(rep.witness, 5).status is SolveStatus.NONE_EXISTS
 
 
 def test_min_set_cover_small():

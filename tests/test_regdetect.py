@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -138,9 +139,42 @@ def test_budget_exhaustion_is_distinct():
     res = find_regular(h, 2, SolverBudget(max_nodes=3))
     assert res.status is SolveStatus.BUDGET_EXHAUSTED
     assert res.certificate is None
-    assert res.nodes >= 3
+    assert res.nodes == 3
     # same cap, same cut point
     assert res == find_regular(h, 2, SolverBudget(max_nodes=3))
+
+
+def test_search_order_is_pinned():
+    # First certificates and node counts in include-first colex order, as
+    # the recursive search gave them; the loop that replaced it keeps them.
+    cases = [
+        (FANO, 3, None, SolveStatus.FOUND, 1, tuple(range(7))),
+        (complete_uniform(7, 3), 2, None, SolveStatus.FOUND, 8, (0, 1, 18, 19)),
+        (star_plus(9, 3, 3)[0], 3, None, SolveStatus.FOUND, 3, (0, 1, 2, 3)),
+        (complete_uniform(7, 3), 2, 50, SolveStatus.FOUND, 8, (0, 1, 18, 19)),
+        (full_star(10, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 588, None),
+    ]
+    for h, r, max_nodes, status, nodes, edge_indices in cases:
+        res = find_regular(h, r, SolverBudget(max_nodes=max_nodes))
+        assert (res.status, res.nodes) == (status, nodes), (h, r)
+        if edge_indices is not None:
+            assert res.certificate.edge_indices == edge_indices, (h, r)
+    assert extremal_search(5, 3, 2).nodes == 21
+
+
+def test_wide_host_ends_on_its_node_budget():
+    # 1081 edges, more than the interpreter's default recursion limit
+    res = find_regular(full_star(48, 3)[0], 2, SolverBudget(max_nodes=2000))
+    assert res.status is SolveStatus.BUDGET_EXHAUSTED
+    assert res.nodes == 2000
+
+
+def test_deadline_is_checked_at_every_node():
+    h, _ = full_star(25, 4)
+    start = time.monotonic()
+    res = find_regular(h, 2, SolverBudget(max_millis=50))
+    assert res.status is SolveStatus.BUDGET_EXHAUSTED
+    assert time.monotonic() - start < 1.0
 
 
 def test_budget_validation():
