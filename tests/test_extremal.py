@@ -48,6 +48,24 @@ def test_six_vertices_match_star_plus_matching_pattern():
     rep = extremal_search(6, 3, 2)
     assert rep.complete
     assert rep.optimum == comb(5, 2) + (6 - 1) // 3 == 11
+    assert rep.nodes == 71393
+    assert rep.witness.edges == (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4),
+        (1, 2, 4), (0, 3, 4), (1, 3, 4), (2, 3, 4), (0, 1, 5))
+
+
+def test_outer_tree_is_pinned():
+    # the outer tree follows from the true freeness verdicts alone, so how
+    # a verdict is reached must not move these counts or witnesses
+    reps = {t: extremal_search(*t) for t in ((6, 3, 3), (6, 3, 4), (7, 2, 3))}
+    assert {t: (rep.complete, rep.nodes) for t, rep in reps.items()} == {
+        (6, 3, 3): (True, 95089), (6, 3, 4): (True, 86875), (7, 2, 3): (True, 185476)}
+    # ex(6,3,3) = C(5,2), first reached at the star on vertex 0
+    assert reps[(6, 3, 3)].witness == full_star(6, 3)[0]
+    iso = extremal_search(6, 3, 2, isomorph_reject=True)
+    assert (iso.optimum, iso.complete, iso.nodes) == (11, True, 11722)
+    cut = extremal_search(7, 3, 2, budget=SolverBudget(max_nodes=10000))
+    assert (cut.optimum, cut.complete, cut.nodes) == (15, False, 10000)
 
 
 def test_optimum_at_least_full_star():
