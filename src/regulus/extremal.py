@@ -5,6 +5,10 @@ n-vertex k-uniform hypergraph with no r-regular subgraph, by include-first
 depth-first search over the complete k-set universe in colex order, pruning
 with an incremental solver call (adding an edge to a regular-free set can
 only create regular subgraphs through that edge) and a remaining-slots bound.
+A subfamily of a free family is free, so whether F + e is free is monotone
+in F; each candidate edge remembers the last family found free with it and
+the regular subfamilies found through it, and a solve runs only when
+neither decides the inclusion.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .errors import GuardError
-from .hypercore import Hypergraph, mask_of
+from .hypercore import Hypergraph, mask_of, vertices_of
 from .regdetect import SolverBudget, SolveStatus, find_regular
 from .regdetect import _check_r, _limits, _RegularSearch, _spent
 
@@ -129,7 +133,16 @@ def extremal_search(
     solver's rule: a node budget N visits at most N outer nodes (nodes is
     then N), and max_millis is checked at every outer node and inside every
     inner solve, whose running out also ends the search.  The witness's
-    freeness re-check always runs to the end."""
+    freeness re-check always runs to the end.
+
+    Including edge e in a free family F is decided by the true verdict on
+    F + e, reached in one of three ways.  F + e is free if F is a subset of
+    free_with[e], the last family found free with e (it starts empty: one
+    edge alone is free for r >= 2).  F + e is not free if some entry of
+    regular_with[e], a found certificate minus e, is a subset of F.
+    Otherwise an inner solve with e forced decides, and its answer is
+    stored.  The memos skip solves without changing any decision, so the
+    tree, the witness and the node count do not depend on them."""
     _check_r(r)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -143,17 +156,20 @@ def extremal_search(
     start = time.perf_counter()
     max_nodes, deadline = _limits(budget)
 
-    best: tuple[tuple[int, ...], ...] = ()
+    # Families are bitmasks over universe slots.
+    free_with = [0] * total
+    regular_with: list[list[int]] = [[] for _ in range(total)]
+    best = 0
     nodes = 0
     seen_states: set = set()
     perms = list(permutations(range(n))) if isomorph_reject else []
 
-    def canon(chosen: tuple[tuple[int, ...], ...], slot: int):
-        chosen_set = set(chosen)
-        excluded = [e for e in universe[:slot] if e not in chosen_set]
+    def canon(chosen: int, slot: int):
+        chosen_edges = [universe[s] for s in vertices_of(chosen)]
+        excluded = [universe[s] for s in vertices_of(~chosen & ((1 << slot) - 1))]
         best = None
         for pi in perms:
-            mapped_c = tuple(sorted(sum(1 << pi[v] for v in e) for e in chosen))
+            mapped_c = tuple(sorted(sum(1 << pi[v] for v in e) for e in chosen_edges))
             mapped_e = tuple(sorted(sum(1 << pi[v] for v in e) for e in excluded))
             key = (mapped_c, mapped_e)
             if best is None or key < best:
@@ -162,7 +178,7 @@ def extremal_search(
 
     # Include-first DFS; a node's excluded child is pushed below its
     # included one, so it is visited after the whole included subtree.
-    stack: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(0, ())]
+    stack: list[tuple[int, int]] = [(0, 0)]
     complete = True
     while stack:
         if _spent(nodes, max_nodes, deadline):
@@ -171,10 +187,10 @@ def extremal_search(
         nodes += 1
         slot, chosen = stack.pop()
         if slot == total:
-            if len(chosen) > len(best):
+            if chosen.bit_count() > best.bit_count():
                 best = chosen
             continue
-        if len(chosen) + (total - slot) <= len(best):
+        if chosen.bit_count() + (total - slot) <= best.bit_count():
             continue
         if isomorph_reject and slot < 8:
             key = canon(chosen, slot)
@@ -182,21 +198,32 @@ def extremal_search(
                 continue
             seen_states.add(key)
         stack.append((slot + 1, chosen))
-        new = chosen + (universe[slot],)
-        res = _RegularSearch(n, new, r).solve(None, deadline, len(new) - 1)
+        bit = 1 << slot
+        if chosen & ~free_with[slot] == 0:
+            stack.append((slot + 1, chosen | bit))
+            continue
+        if any(c & ~chosen == 0 for c in regular_with[slot]):
+            continue
+        slots = vertices_of(chosen) + (slot,)
+        res = _RegularSearch(n, [universe[s] for s in slots], r).solve(
+            None, deadline, len(slots) - 1)
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
             complete = False
             break
-        if res.status is SolveStatus.NONE_EXISTS:
-            stack.append((slot + 1, new))
+        if res.status is SolveStatus.FOUND:
+            found = sum(1 << slots[i] for i in res.certificate.edge_indices)
+            regular_with[slot].append(found & ~bit)
+        else:
+            free_with[slot] = chosen
+            stack.append((slot + 1, chosen | bit))
 
-    witness = Hypergraph(n, best)
+    witness = Hypergraph(n, [universe[s] for s in vertices_of(best)])
     check = find_regular(witness, r)
     if check.status is not SolveStatus.NONE_EXISTS:
         raise AssertionError("search witness failed its freeness re-verification")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SearchReport(
-        n=n, k=k, r=r, optimum=len(best), witness=witness,
+        n=n, k=k, r=r, optimum=best.bit_count(), witness=witness,
         complete=complete, nodes=nodes, elapsed_ms=elapsed_ms,
     )
 
