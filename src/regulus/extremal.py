@@ -128,8 +128,12 @@ def extremal_search(
     isomorph_reject: bool = False,
 ) -> SearchReport:
     """Exact ex(n, k, r) over the full C(n, k) universe (guarded to 64
-    candidate edges).  With a budget the search may stop early, returning the
-    best complete leaf seen and complete=False.  The budget follows the
+    candidate edges).  The incumbent starts at the full star on vertex 0,
+    C(n-1, k-1) edges, which is free for every r >= 2: an r-regular S in it
+    gives the center degree |S| = r, so every covered vertex lies in all r
+    edges and they coincide.  With a budget the search may stop early,
+    returning the best family seen (a leaf larger than the star, or the
+    star) and complete=False.  The budget follows the
     solver's rule: a node budget N visits at most N outer nodes (nodes is
     then N), and max_millis is checked at every outer node and inside every
     inner solve, whose running out also ends the search.  The witness's
@@ -159,7 +163,7 @@ def extremal_search(
     # Families are bitmasks over universe slots.
     free_with = [0] * total
     regular_with: list[list[int]] = [[] for _ in range(total)]
-    best = 0
+    best = sum(1 << s for s, e in enumerate(universe) if e[0] == 0)
     nodes = 0
     seen_states: set = set()
     perms = list(permutations(range(n))) if isomorph_reject else []

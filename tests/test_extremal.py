@@ -113,6 +113,9 @@ def test_budget_interrupts_search():
     again = extremal_search(6, 3, 2, budget=SolverBudget(max_nodes=20))
     assert again.optimum == rep.optimum
     assert again.nodes == rep.nodes
+    # no leaf within 20 nodes: the answer is the seeded star on vertex 0
+    assert rep.optimum == comb(5, 2)
+    assert rep.witness == full_star(6, 3)[0]
 
 
 def test_deadline_reaches_the_inner_solves():
@@ -122,7 +125,24 @@ def test_deadline_reaches_the_inner_solves():
     rep = extremal_search(7, 4, 5, budget=SolverBudget(max_millis=100))
     assert time.monotonic() - start < 2.0
     assert not rep.complete
+    assert rep.optimum >= comb(6, 3)
     assert find_regular(rep.witness, 5).status is SolveStatus.NONE_EXISTS
+
+
+def test_matches_enumeration_oracle():
+    # complete: the oracle's value; under a node budget: between the seeded
+    # star and the oracle's value, with a witness that re-checks free
+    triples = [(n, k, r) for n in range(3, 6) for k in range(2, n) for r in (2, 3, 4, 5)]
+    for n, k, r in triples + [(6, 5, 2), (6, 5, 4)]:
+        want = extremal_by_enumeration(n, k, r)
+        for iso in (False, True):
+            rep = extremal_search(n, k, r, isomorph_reject=iso)
+            assert (rep.complete, rep.optimum) == (True, want), (n, k, r, iso)
+            for cap in (1, 5, 25):
+                cut = extremal_search(n, k, r, SolverBudget(max_nodes=cap), isomorph_reject=iso)
+                assert comb(n - 1, k - 1) <= cut.optimum <= want, (n, k, r, iso, cap)
+                assert len(cut.witness.edges) == cut.optimum
+                assert find_regular(cut.witness, r).status is SolveStatus.NONE_EXISTS
 
 
 def test_min_set_cover_small():
