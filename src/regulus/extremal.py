@@ -133,11 +133,11 @@ def extremal_search(
     gives the center degree |S| = r, so every covered vertex lies in all r
     edges and they coincide.  With a budget the search may stop early,
     returning the best family seen (a leaf larger than the star, or the
-    star) and complete=False.  The budget follows the
-    solver's rule: a node budget N visits at most N outer nodes (nodes is
-    then N), and max_millis is checked at every outer node and inside every
-    inner solve, whose running out also ends the search.  The witness's
-    freeness re-check always runs to the end.
+    star) and complete=False.  The budget follows the solver's rule: a node
+    budget N visits at most N outer nodes (nodes is then N), and max_millis
+    is checked at every outer node and inside every inner solve, whose
+    running out also ends the search.  The witness's freeness re-check
+    always runs to the end.
 
     Including edge e in a free family F is decided by the true verdict on
     F + e, reached in one of three ways.  F + e is free if F is a subset of
