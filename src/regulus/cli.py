@@ -12,7 +12,6 @@ failed verification); 2 usage or input errors; 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from math import comb
 from pathlib import Path
@@ -122,14 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args: argparse.Namespace) -> SolverBudget | None:
-    millis = args.max_millis
-    if millis is None:
-        env = os.environ.get("REGULUS_MAX_MILLIS")
-        if env is not None and env != "":
-            millis = int(env)
-    if args.max_nodes is None and millis is None:
+    if args.max_nodes is None and args.max_millis is None:
         return None
-    return SolverBudget(max_nodes=args.max_nodes, max_millis=millis)
+    return SolverBudget(max_nodes=args.max_nodes, max_millis=args.max_millis)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:

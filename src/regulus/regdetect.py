@@ -3,8 +3,11 @@
 An r-regular subgraph of H is a nonempty set S of distinct edges such that
 every vertex covered by S is covered exactly r times (and vertices outside
 the covered set are untouched).  find_regular runs a propagating DFS over
-edges in colex order; brute_force_regular is the independent oracle that
-enumerates all nonempty edge subsets in ascending subset-mask order.
+edges in colex order on per-vertex degrees and undecided-edge masks, undone
+by restoring saved values; closing a vertex excludes all of its undecided
+edges with one mask update per vertex they touch.  brute_force_regular is
+the independent oracle that enumerates all nonempty edge subsets in
+ascending subset-mask order.
 
 One budget rule serves this search and extremal_search: a node budget N
 visits at most N nodes and reports exactly N when it runs out, and
@@ -16,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
 
 from .errors import GuardError, ParseError
 from .hypercore import Hypergraph, vertices_of
@@ -58,9 +60,6 @@ class SolveResult:
     nodes: int
 
 
-_UNDEC, _IN, _OUT = 0, 1, 2
-
-
 def _check_r(r) -> None:
     """The one contract on r everywhere: an integer >= 2 (at r = 1 every
     single edge would be a regular subgraph)."""
@@ -85,131 +84,115 @@ def _spent(nodes: int, max_nodes: int | None, deadline: float | None) -> bool:
 
 
 class _RegularSearch:
-    """DFS with per-vertex degree states and exclusion/inclusion propagation.
+    """DFS with exclusion/inclusion propagation over per-vertex edge masks.
 
-    Vertex states are implicit in (deg, rem): untouched (deg 0), active
-    (1 <= deg < r), closed at r (deg == r), closed at 0 (deg 0 and rem < r).
-    Propagation excludes edges through closed vertices, force-includes the
-    remaining candidates of an active vertex that has no slack, and fails on
-    deficiency (active vertex that can no longer reach r).  A subsumption
-    check prunes branches where an active vertex needs more than another one
-    through which all of its candidates pass.
+    The state is `deg[v]` (included edges through v), `undec[v]` (the mask
+    of v's undecided edges), `open` (the mask of all undecided edges) and
+    `included`.  A vertex's remaining degree is undec[v].bit_count(), and
+    its state follows from (deg, remaining): untouched (deg 0), active
+    (1 <= deg < r), closed at r (deg == r), closed at 0 (deg 0 and fewer
+    than r remaining).  Propagation closes a vertex by excluding all of its
+    undecided edges u at once, one `undec[w]` update per vertex w they
+    touch; it force-includes the remaining edges of an active vertex that
+    has no slack, and fails on deficiency (an active vertex that can no
+    longer reach r).  A subsumption check prunes branches where an active
+    vertex needs more than another one through which all of its undecided
+    edges pass.
 
-    `edges` are vertex tuples, indexed in the order given; the per-vertex
-    incidence is an int bitmask over those indices.  One instance runs one
-    solve.
+    Every change appends (v, old undec[v], old deg[v]) to the trail of the
+    decision that made it; undoing the decision restores those values in
+    reverse order, and its stack frame restores `open` and the length of
+    `included`.
+
+    `edges` are vertex tuples, indexed in the order given; a mask's bit i
+    stands for edges[i].  One instance runs one solve.
     """
 
     def __init__(self, n: int, edges, r: int):
         self.n = n
         self.r = r
         self.edges = edges
-        self.m = len(edges)
         inc = [0] * n
         for i, vs in enumerate(edges):
             bit = 1 << i
             for v in vs:
                 inc[v] |= bit
         self.undec = inc
-        self.rem = [x.bit_count() for x in inc]
         self.deg = [0] * n
-        self.status = [_UNDEC] * self.m
+        self.open = (1 << len(edges)) - 1
         self.included: list[int] = []
-        self.active = 0
         self.nodes = 0
 
-    # -- primitive state changes, recorded on the trail ----------------
-
-    def _exclude(self, e: int, trail: list, pending: list) -> None:
-        self.status[e] = _OUT
-        trail.append(-e - 1)
-        for v in self.edges[e]:
-            self.rem[v] -= 1
-            self.undec[v] &= ~(1 << e)
-            pending.append(v)
+    # -- state changes, recorded on the trail ---------------------------
 
     def _include(self, e: int, trail: list, pending: list) -> None:
-        self.status[e] = _IN
-        trail.append(e)
+        bit = 1 << e
+        self.open ^= bit
         self.included.append(e)
-        r = self.r
+        undec, deg = self.undec, self.deg
         for v in self.edges[e]:
-            self.rem[v] -= 1
-            self.undec[v] &= ~(1 << e)
-            old = self.deg[v]
-            self.deg[v] = old + 1
-            if old == 0:
-                self.active += 1
-            if old + 1 == r:
-                self.active -= 1
+            trail.append((v, undec[v], deg[v]))
+            undec[v] ^= bit
+            deg[v] += 1
             pending.append(v)
 
+    def _exclude(self, u: int, vs, trail: list, pending: list) -> None:
+        """Exclude every edge of the mask u, all of them undecided; `vs`
+        yields every vertex they touch (and maybe others, or repeats)."""
+        self.open ^= u
+        undec, deg = self.undec, self.deg
+        for w in vs:
+            x = undec[w]
+            out = x & u
+            if out:
+                trail.append((w, x, deg[w]))
+                undec[w] = x ^ out
+                pending.append(w)
+
     def _undo(self, trail: list) -> None:
-        r = self.r
-        while trail:
-            t = trail.pop()
-            if t >= 0:
-                e = t
-                self.status[e] = _UNDEC
-                self.included.pop()
-                for v in self.edges[e]:
-                    self.rem[v] += 1
-                    self.undec[v] |= 1 << e
-                    new = self.deg[v]
-                    self.deg[v] = new - 1
-                    if new == r:
-                        self.active += 1
-                    if new == 1:
-                        self.active -= 1
-            else:
-                e = -t - 1
-                self.status[e] = _UNDEC
-                for v in self.edges[e]:
-                    self.rem[v] += 1
-                    self.undec[v] |= 1 << e
+        undec, deg = self.undec, self.deg
+        for v, u, d in reversed(trail):
+            undec[v] = u
+            deg[v] = d
 
     # -- propagation to fixpoint ---------------------------------------
 
     def _propagate(self, trail: list, pending: list) -> bool:
         r = self.r
-        deg, rem, undec, status = self.deg, self.rem, self.undec, self.status
+        deg, undec, edges = self.deg, self.undec, self.edges
         while pending:
             v = pending.pop()
             dv = deg[v]
             u = undec[v]
-            if dv >= r or (dv == 0 and rem[v] < r):
+            rem = u.bit_count()
+            if dv >= r or (dv == 0 and rem < r):
                 if u:
-                    mm = u
-                    while mm:
-                        low = mm & -mm
-                        mm ^= low
-                        e = low.bit_length() - 1
-                        if status[e] == _UNDEC:
-                            self._exclude(e, trail, pending)
+                    # Walking u's edges costs a step per edge and per vertex
+                    # of it, scanning every vertex a step per vertex; below
+                    # n/4 edges the walk is the cheaper one.
+                    vs = (range(self.n) if 4 * rem >= self.n
+                          else (w for e in vertices_of(u) for w in edges[e]))
+                    self._exclude(u, vs, trail, pending)
                 continue
             if dv == 0:
                 continue
             need = r - dv
-            if rem[v] < need:
+            if rem < need:
                 return False
-            if rem[v] == need and u:
-                mm = u
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    e = low.bit_length() - 1
-                    if status[e] != _UNDEC:
-                        continue
-                    for w in self.edges[e]:
+            if rem == need:
+                for e in vertices_of(u):
+                    for w in edges[e]:
                         if deg[w] >= r:
                             return False
                     self._include(e, trail, pending)
         return True
 
-    def _subsumed(self) -> bool:
-        r = self.r
+    def _actives(self) -> list[int]:
+        r, deg = self.r, self.deg
+        return [v for v in range(self.n) if 1 <= deg[v] < r]
+
+    def _subsumed(self, actives: list[int]) -> bool:
         deg, undec = self.deg, self.undec
-        actives = [v for v in range(self.n) if 1 <= deg[v] < r]
         for u in actives:
             du, uu = deg[u], undec[u]
             for w in actives:
@@ -222,45 +205,51 @@ class _RegularSearch:
     def solve(self, max_nodes: int | None, deadline: float | None,
               forced: int | None = None) -> SolveResult:
         """Include-first DFS over the undecided edges in index order, as a
-        loop over a stack with one (edge, decision, trail) frame per decision
-        on the current path.  A node is one decision; `_spent` is asked
-        before each.  `forced` pre-includes one edge (used by the extremal
-        module, where the rest of the edge set is already known free)."""
-        trail: list[int] = []
+        loop over a stack with one (include, trail, open, len(included))
+        frame per decision on the current path.  A node is one decision;
+        `_spent` is asked before each.  Something included and no active
+        vertex is FOUND.  `forced` pre-includes one edge (used by the
+        extremal module, where the rest of the edge set is already known
+        free), which can complete a subgraph before any node."""
+        trail: list = []
         pending = list(range(self.n))
         if forced is not None:
             self._include(forced, trail, pending)
         if not self._propagate(trail, pending):
             return self._result(SolveStatus.NONE_EXISTS)
-        status, m = self.status, self.m
-        stack: list[tuple[int, int, list[int]]] = []
-        ptr, decision = 0, _IN
+        if self.included and not self._actives():
+            return self._result(SolveStatus.FOUND)
+        stack: list[tuple[bool, list, int, int]] = []
+        include = True
         while True:
-            if self.included and self.active == 0:
-                return self._result(SolveStatus.FOUND)
-            while ptr < m and status[ptr] != _UNDEC:
-                ptr += 1
-            if ptr < m:
+            # Every edge below the lowest undecided one is decided, so that
+            # edge is the next in index order.
+            if self.open:
                 if _spent(self.nodes, max_nodes, deadline):
                     return self._result(SolveStatus.BUDGET_EXHAUSTED)
                 self.nodes += 1
                 trail, pending = [], []
-                if decision == _IN:
-                    self._include(ptr, trail, pending)
+                stack.append((include, trail, self.open, len(self.included)))
+                low = self.open & -self.open
+                e = low.bit_length() - 1
+                if include:
+                    self._include(e, trail, pending)
                 else:
-                    self._exclude(ptr, trail, pending)
-                stack.append((ptr, decision, trail))
-                # With no active vertex nothing is subsumed, so a found
-                # subgraph always reaches the check at the top of the loop.
-                if self._propagate(trail, pending) and not self._subsumed():
-                    ptr, decision = ptr + 1, _IN
-                    continue
-            # Backtrack to the deepest decision whose OUT branch is still open.
+                    self._exclude(low, self.edges[e], trail, pending)
+                if self._propagate(trail, pending):
+                    actives = self._actives()
+                    if self.included and not actives:
+                        return self._result(SolveStatus.FOUND)
+                    if not self._subsumed(actives):
+                        include = True
+                        continue
+            # Backtrack to the deepest decision whose exclude branch is still open.
             while stack:
-                ptr, decision, trail = stack.pop()
+                include, trail, self.open, size = stack.pop()
                 self._undo(trail)
-                if decision == _IN:
-                    decision = _OUT
+                del self.included[size:]
+                if include:
+                    include = False
                     break
             else:
                 return self._result(SolveStatus.NONE_EXISTS)

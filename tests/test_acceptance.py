@@ -260,7 +260,8 @@ def test_cli_output_is_byte_identical_across_reruns(tmp_path):
         ["table", "--claim", "example-b", "--k", "3", "--c", "2", "--n-max", "6",
          "--format", "csv"],
     ]
-    env = {k: v for k, v in os.environ.items() if k != "REGULUS_MAX_MILLIS"}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
 
     def snapshot():
         return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}

@@ -20,13 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def python(*argv):
     """A fresh interpreter that imports regulus from this source tree."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("REGULUS_MAX_MILLIS", None)
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_budget(monkeypatch):
-    monkeypatch.delenv("REGULUS_MAX_MILLIS", raising=False)
 
 
 def invoke(capsys, *argv):
@@ -147,11 +141,14 @@ def test_detect_wide_host_ends_on_its_node_budget(tmp_path):
 
 
 def test_detect_env_budget_and_flag_override(tmp_path, capsys, monkeypatch):
+    # No environment variable sets a budget: the same argv gives the same
+    # stdout whatever the environment holds.
     path = tmp_path / "big.hg"
     write_hypergraph(full_star(10, 5)[0], str(path))
     monkeypatch.setenv("REGULUS_MAX_MILLIS", "1")
     code, stdout, _ = invoke(capsys, "detect", "--input", str(path), "--r", "2")
-    assert code == 3
+    assert code == 0
+    assert stdout == "NONE (search complete)\n"
     small = tmp_path / "small.hg"
     write_hypergraph(full_star(6, 3)[0], str(small))
     code, stdout, _ = invoke(capsys, "detect", "--input", str(small), "--r", "2",

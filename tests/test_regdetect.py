@@ -9,7 +9,7 @@ import pytest
 from oracles import regular_subset
 from regulus.errors import GuardError, ParseError
 from regulus.extremal import extremal_search
-from regulus.gadgets import bes_layer_star, full_star, gadget_h, star_plus
+from regulus.gadgets import bes_layer_star, example_b, full_star, gadget_h, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform, degree_vector, vertices_of
 from regulus.regdetect import (
     Certificate,
@@ -81,17 +81,29 @@ def test_non_uniform_input_is_accepted():
 
 
 def test_agrees_with_oracle_on_random_instances():
+    # Uniform hosts, then hosts mixing 2-, 3- and 4-edges whose last
+    # vertices may lie in no edge.  Under a 5-node budget a run may stop
+    # early, but NONE_EXISTS still needs the oracle to find nothing.
     rng = random.Random(2024)
-    for _ in range(150):
-        h = random_instance(rng, n_max=8, m_max=12)
-        r = rng.choice((2, 3))
-        got = find_regular(h, r)
-        want = regular_subset(h.edges, h.n, r)
-        if want is None:
-            assert got.status is SolveStatus.NONE_EXISTS
+    five = SolverBudget(max_nodes=5)
+    for i in range(300):
+        if i < 150:
+            h = random_instance(rng, n_max=8, m_max=12)
         else:
-            assert got.status is SolveStatus.FOUND
-            assert verify_certificate(h, got.certificate) == (True, "ok")
+            n = rng.randint(4, 9)
+            used = n - rng.randint(0, 2)
+            pool = [e for k in (2, 3, 4) for e in combinations(range(used), k)]
+            h = Hypergraph(n, rng.sample(pool, rng.randint(1, min(12, len(pool)))))
+        r = rng.choice((2, 3))
+        want = regular_subset(h.edges, h.n, r)
+        got = find_regular(h, r)
+        assert got.status is (SolveStatus.NONE_EXISTS if want is None else SolveStatus.FOUND)
+        budgeted = find_regular(h, r, five)
+        for res in (got, budgeted):
+            if res.status is SolveStatus.FOUND:
+                assert verify_certificate(h, res.certificate) == (True, "ok")
+            elif res.status is SolveStatus.NONE_EXISTS:
+                assert want is None
 
 
 def test_brute_force_matches_naive_scan():
@@ -147,12 +159,22 @@ def test_budget_exhaustion_is_distinct():
 def test_search_order_is_pinned():
     # First certificates and node counts in include-first colex order, as
     # the recursive search gave them; the loop that replaced it keeps them.
+    # The last five are hosts where one closure excludes many edges at once
+    # (a star center, a vertex of a complete host), so those counts also
+    # pin that propagation reaches the same fixpoint whatever its order.
+    cu25 = complete_uniform(25, 4)
     cases = [
         (FANO, 3, None, SolveStatus.FOUND, 1, tuple(range(7))),
         (complete_uniform(7, 3), 2, None, SolveStatus.FOUND, 8, (0, 1, 18, 19)),
         (star_plus(9, 3, 3)[0], 3, None, SolveStatus.FOUND, 3, (0, 1, 2, 3)),
         (complete_uniform(7, 3), 2, 50, SolveStatus.FOUND, 8, (0, 1, 18, 19)),
         (full_star(10, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 588, None),
+        (cu25, 2, None, SolveStatus.FOUND, 18,
+         (0, 1, 34, 125, 329, 714, 1364, 2379, 3875, 5984, 10624, 10625)),
+        (cu25, 4, None, SolveStatus.FOUND, 5, (0, 1, 2, 3, 4)),
+        (example_b(9, 3, 2)[0], 9, None, SolveStatus.NONE_EXISTS, 25668, None),
+        (full_star(16, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 6916, None),
+        (bes_layer_star(8, 4, 3, 0)[0], 3, None, SolveStatus.NONE_EXISTS, 3394, None),
     ]
     for h, r, max_nodes, status, nodes, edge_indices in cases:
         res = find_regular(h, r, SolverBudget(max_nodes=max_nodes))
