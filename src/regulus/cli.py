@@ -45,13 +45,17 @@ _CLAIMS = ("mv-conjecture", "star-extremal", "example-b")
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv"), default="text")
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="regulus")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", parents=[common], help="write a named construction")
-    g.set_defaults(handler=_cmd_generate)
+    def command(name, handler, summary, parents=(common,)):
+        # No abbreviations: `table --n` must not quietly mean `--n-max`.
+        p = sub.add_parser(name, parents=list(parents), help=summary, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    g = command("generate", _cmd_generate, "write a named construction", parents=())
     g.add_argument("--kind", required=True,
                    choices=("star", "star-plus", "hkl", "hkl-prime",
                             "example-a", "example-b", "bes-layer-star"))
@@ -61,10 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--l", type=int)
     g.add_argument("--c", type=int)
     g.add_argument("--variant", choices=("r-eq-k", "r-eq-k-plus-1"))
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
-    d = sub.add_parser("detect", parents=[common], help="search for an r-regular subgraph")
-    d.set_defaults(handler=_cmd_detect)
+    d = command("detect", _cmd_detect, "search for an r-regular subgraph")
     d.add_argument("--input", required=True)
     d.add_argument("--r", type=int, required=True)
     d.add_argument("--max-nodes", type=int)
@@ -72,13 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--certificate")
     d.add_argument("--expect-found", action="store_true")
 
-    vf = sub.add_parser("verify", parents=[common], help="check a certificate against a hypergraph")
-    vf.set_defaults(handler=_cmd_verify)
+    vf = command("verify", _cmd_verify, "check a certificate against a hypergraph")
     vf.add_argument("--input", required=True)
     vf.add_argument("--certificate", required=True)
 
-    f = sub.add_parser("find", parents=[common], help="find a structural pattern")
-    f.set_defaults(handler=_cmd_find)
+    f = command("find", _cmd_find, "find a structural pattern")
     f.add_argument("--pattern", required=True, choices=("sunflower", "same-union", "gadget"))
     f.add_argument("--input", required=True)
     f.add_argument("--p", type=int)
@@ -88,8 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out")
     f.add_argument("--expect-found", action="store_true")
 
-    s = sub.add_parser("search", parents=[common], help="exhaustive extremal edge-count search")
-    s.set_defaults(handler=_cmd_search)
+    s = command("search", _cmd_search, "exhaustive extremal edge-count search")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
@@ -98,21 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--isomorph-reject", action="store_true")
     s.add_argument("--out")
 
-    w = sub.add_parser("wedges", parents=[common], help="count wedges at a vertex")
-    w.set_defaults(handler=_cmd_wedges)
+    w = command("wedges", _cmd_wedges, "count wedges at a vertex")
     w.add_argument("--input", required=True)
     w.add_argument("--v", type=int, required=True)
     w.add_argument("--r", type=int, required=True)
 
-    c = sub.add_parser("classify", parents=[common], help="good/bad 3-sets at a vertex")
-    c.set_defaults(handler=_cmd_classify)
+    c = command("classify", _cmd_classify, "good/bad 3-sets at a vertex")
     c.add_argument("--input", required=True)
     c.add_argument("--v", type=int, required=True)
 
-    t = sub.add_parser("table", parents=[common], help="desk-scale claim tables")
-    t.set_defaults(handler=_cmd_table)
+    t = command("table", _cmd_table, "desk-scale claim tables")
     t.add_argument("--claim", required=True, choices=_CLAIMS)
-    t.add_argument("--n", type=int)
     t.add_argument("--k", type=int)
     t.add_argument("--r", type=int)
     t.add_argument("--c", type=int)
@@ -177,29 +174,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     h = read_hypergraph(args.input)
     res = find_regular(h, args.r, _budget(args))
-    if res.status is SolveStatus.FOUND:
-        cert = res.certificate
-        if args.format == "csv":
-            print("status,edges,nodes")
-            print(f"found,{len(cert.edge_indices)},{res.nodes}")
-        else:
-            print(f"FOUND {len(cert.edge_indices)} edges")
-        if args.certificate:
-            Path(args.certificate).write_text(serialize_certificate(cert), encoding="ascii")
-        return 0
-    if res.status is SolveStatus.BUDGET_EXHAUSTED:
-        if args.format == "csv":
-            print("status,edges,nodes")
-            print(f"budget,0,{res.nodes}")
-        else:
-            print(f"BUDGET EXHAUSTED after {res.nodes} nodes")
-        return 3
+    cert = res.certificate
+    size = len(cert.edge_indices) if cert else 0
     if args.format == "csv":
         print("status,edges,nodes")
-        print(f"none,0,{res.nodes}")
+        print(f"{res.status.value},{size},{res.nodes}")
     else:
-        print("NONE (search complete)")
-    return 1 if args.expect_found else 0
+        print({SolveStatus.FOUND: f"FOUND {size} edges",
+               SolveStatus.BUDGET_EXHAUSTED: f"BUDGET EXHAUSTED after {res.nodes} nodes",
+               SolveStatus.NONE_EXISTS: "NONE (search complete)"}[res.status])
+    if cert and args.certificate:
+        Path(args.certificate).write_text(serialize_certificate(cert), encoding="ascii")
+    return {SolveStatus.FOUND: 0, SolveStatus.BUDGET_EXHAUSTED: 3,
+            SolveStatus.NONE_EXISTS: 1 if args.expect_found else 0}[res.status]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -349,7 +336,7 @@ def emit_table(claim: str, params: dict) -> tuple[tuple[str, ...], list[tuple]]:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     params: dict = {}
-    for name in ("n", "k", "r", "c", "n_max"):
+    for name in ("k", "r", "c", "n_max"):
         val = getattr(args, name)
         if val is not None:
             params[name] = val

@@ -79,11 +79,8 @@ def min_set_cover(num_elements: int, sets: list[int]) -> tuple[int, tuple[int, .
         raise ValueError("the sets do not cover all elements")
     containing: list[list[int]] = [[] for _ in range(num_elements)]
     for i, s in enumerate(sets):
-        mm = s & full
-        while mm:
-            low = mm & -mm
-            containing[low.bit_length() - 1].append(i)
-            mm ^= low
+        for e in vertices_of(s & full):
+            containing[e].append(i)
     max_size = max((s & full).bit_count() for s in sets)
 
     # greedy upper bound seeds the incumbent
@@ -155,22 +152,23 @@ def extremal_search(
     if isomorph_reject and n > 7:
         raise GuardError("isomorph rejection is limited to n <= 7")
 
-    universe = sorted(combinations(range(n), k), key=mask_of)
-    total = len(universe)
+    universe = Hypergraph(n, combinations(range(n), k))
+    edges, inc = universe.edges, universe.vertex_incidence
+    total = len(edges)
     start = time.perf_counter()
     max_nodes, deadline = _limits(budget)
 
     # Families are bitmasks over universe slots.
     free_with = [0] * total
     regular_with: list[list[int]] = [[] for _ in range(total)]
-    best = sum(1 << s for s, e in enumerate(universe) if e[0] == 0)
+    best = sum(1 << s for s, e in enumerate(edges) if e[0] == 0)
     nodes = 0
     seen_states: set = set()
     perms = list(permutations(range(n))) if isomorph_reject else []
 
     def canon(chosen: int, slot: int):
-        chosen_edges = [universe[s] for s in vertices_of(chosen)]
-        excluded = [universe[s] for s in vertices_of(~chosen & ((1 << slot) - 1))]
+        chosen_edges = [edges[s] for s in vertices_of(chosen)]
+        excluded = [edges[s] for s in vertices_of(~chosen & ((1 << slot) - 1))]
         best = None
         for pi in perms:
             mapped_c = tuple(sorted(sum(1 << pi[v] for v in e) for e in chosen_edges))
@@ -208,20 +206,19 @@ def extremal_search(
             continue
         if any(c & ~chosen == 0 for c in regular_with[slot]):
             continue
-        slots = vertices_of(chosen) + (slot,)
-        res = _RegularSearch(n, [universe[s] for s in slots], r).solve(
-            None, deadline, len(slots) - 1)
+        family = chosen | bit
+        res = _RegularSearch(edges, [x & family for x in inc], family, r).solve(
+            None, deadline, slot)
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
             complete = False
             break
         if res.status is SolveStatus.FOUND:
-            found = sum(1 << slots[i] for i in res.certificate.edge_indices)
-            regular_with[slot].append(found & ~bit)
+            regular_with[slot].append(mask_of(res.certificate.edge_indices) & ~bit)
         else:
             free_with[slot] = chosen
-            stack.append((slot + 1, chosen | bit))
+            stack.append((slot + 1, family))
 
-    witness = Hypergraph(n, [universe[s] for s in vertices_of(best)])
+    witness = Hypergraph(n, [edges[s] for s in vertices_of(best)])
     check = find_regular(witness, r)
     if check.status is not SolveStatus.NONE_EXISTS:
         raise AssertionError("search witness failed its freeness re-verification")

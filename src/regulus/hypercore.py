@@ -117,12 +117,14 @@ class Hypergraph:
     def vertex_incidence(self) -> tuple[int, ...]:
         """Per-vertex bitmask over edge indices (bit i set iff edge i contains v)."""
         if self._incidence is None:
-            inc = [0] * self._n
+            # One little-endian byte row per vertex: setting a bit in place
+            # is O(1), where `inc[v] |= bit` copies a growing int.
+            rows = [bytearray((len(self._edges) + 7) >> 3) for _ in range(self._n)]
             for i, e in enumerate(self._edges):
-                bit = 1 << i
+                byte, bit = i >> 3, 1 << (i & 7)
                 for v in e:
-                    inc[v] |= bit
-            self._incidence = tuple(inc)
+                    rows[v][byte] |= bit
+            self._incidence = tuple(int.from_bytes(row, "little") for row in rows)
         return self._incidence
 
     def has_edge(self, vertices: Iterable[int]) -> bool:

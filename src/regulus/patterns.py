@@ -70,11 +70,8 @@ def _greedy_masks(masks: list[int], p: int) -> tuple[tuple[int, ...], int] | Non
     # matching too small: recurse on the link of a globally max-degree vertex
     deg: dict[int, int] = {}
     for msk in masks:
-        while msk:
-            low = msk & -msk
-            v = low.bit_length() - 1
+        for v in vertices_of(msk):
             deg[v] = deg.get(v, 0) + 1
-            msk ^= low
     if not deg:
         return None
     best_v = min(deg, key=lambda v: (-deg[v], v))
@@ -201,29 +198,22 @@ def _pair_candidates(n: int, masks: list[int], need: int):
     pair counting one AND + popcount per pair."""
     fidx: dict[int, int] = {}
     for msk in masks:
-        mm = msk
-        while mm:
-            low = mm & -mm
-            f = msk ^ low
+        for v in vertices_of(msk):
+            f = msk ^ (1 << v)
             if f not in fidx:
                 fidx[f] = len(fidx)
-            mm ^= low
     fmasks = [0] * len(fidx)
     for f, i in fidx.items():
         fmasks[i] = f
     nbytes = (len(fidx) + 7) // 8 or 1
     raw: dict[int, bytearray] = {}
     for msk in masks:
-        mm = msk
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            i = fidx[msk ^ low]
+        for v in vertices_of(msk):
+            i = fidx[msk ^ (1 << v)]
             arr = raw.get(v)
             if arr is None:
                 arr = raw[v] = bytearray(nbytes)
             arr[i >> 3] |= 1 << (i & 7)
-            mm ^= low
     bits = {v: int.from_bytes(bytes(arr), "little") for v, arr in raw.items()}
     verts = sorted(bits)
     ranked = []
@@ -236,13 +226,7 @@ def _pair_candidates(n: int, masks: list[int], need: int):
                 ranked.append((-c, x, y, common))
     ranked.sort(key=lambda t: t[:3])
     for _, x, y, common in ranked:
-        inter = []
-        while common:
-            low = common & -common
-            inter.append(fmasks[low.bit_length() - 1])
-            common ^= low
-        inter.sort()
-        yield x, y, inter
+        yield x, y, sorted(fmasks[i] for i in vertices_of(common))
 
 
 def _copy_search(masks: list[int], k: int, l: int, prime: bool, n: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GuardError, ParseError
-from .hypercore import Hypergraph, vertices_of
+from .hypercore import Hypergraph, degree_vector, vertices_of
 
 
 class SolveStatus(Enum):
@@ -104,22 +104,20 @@ class _RegularSearch:
     reverse order, and its stack frame restores `open` and the length of
     `included`.
 
-    `edges` are vertex tuples, indexed in the order given; a mask's bit i
-    stands for edges[i].  One instance runs one solve.
+    The solver runs in its caller's edge numbering: a mask's bit i stands
+    for edges[i].  `undec` is the caller's per-vertex mask of the edges to
+    search, which the solver owns and mutates, and `family` is the mask of
+    those edges; it is passed, not derived from `undec`, so an edge with no
+    vertices keeps its bit.  One instance runs one solve.
     """
 
-    def __init__(self, n: int, edges, r: int):
-        self.n = n
+    def __init__(self, edges, undec: list[int], family: int, r: int):
+        self.n = len(undec)
         self.r = r
         self.edges = edges
-        inc = [0] * n
-        for i, vs in enumerate(edges):
-            bit = 1 << i
-            for v in vs:
-                inc[v] |= bit
-        self.undec = inc
-        self.deg = [0] * n
-        self.open = (1 << len(edges)) - 1
+        self.undec = undec
+        self.deg = [0] * self.n
+        self.open = family
         self.included: list[int] = []
         self.nodes = 0
 
@@ -274,7 +272,7 @@ def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> S
     after the set-up, when the search does.
     """
     _check_r(r)
-    search = _RegularSearch(h.n, h.edges, r)
+    search = _RegularSearch(h.edges, list(h.vertex_incidence), (1 << len(h.edges)) - 1, r)
     return search.solve(*_limits(budget))
 
 
@@ -346,16 +344,11 @@ def verify_certificate(h: Hypergraph, cert: Certificate) -> tuple[bool, str]:
         if not isinstance(i, int) or i < 0 or i >= m or i in seen:
             return False, "bad-index"
         seen.add(i)
-    degs = [0] * h.n
-    cov = 0
-    for i in cert.edge_indices:
-        cov |= h.edge_masks[i]
-        for v in h.edges[i]:
-            degs[v] += 1
+    degs = degree_vector(h, cert.edge_indices)
     for v in cert.covered:
         if not isinstance(v, int) or v < 0 or v >= h.n or degs[v] != cert.r:
             return False, "bad-degree"
-    if vertices_of(cov) != tuple(sorted(cert.covered)):
+    if tuple(v for v, d in enumerate(degs) if d) != tuple(sorted(cert.covered)):
         return False, "covered-mismatch"
     return True, "ok"
 

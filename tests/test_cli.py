@@ -389,6 +389,14 @@ def test_usage_errors(tmp_path, capsys):
     assert invoke(capsys, "generate", "--kind", "c64", "--n", "9", "--k", "4", "--r", "3",
                   "--out", str(tmp_path / "c.hg"))[0] == 2  # the alias is gone
     assert invoke(capsys, "table", "--claim", "sunflower-bounds", "--n-max", "5")[0] == 2
+    # options nothing read are gone: --seed outside generate, generate
+    # --format and table --n (not an abbreviation of --n-max either)
+    assert invoke(capsys, "detect", "--input", "nope.hg", "--r", "2", "--seed", "1")[0] == 2
+    assert invoke(capsys, "search", "--n", "4", "--k", "3", "--r", "2", "--seed", "1")[0] == 2
+    assert invoke(capsys, "generate", "--kind", "star", "--n", "6", "--k", "3",
+                  "--format", "csv", "--out", str(tmp_path / "s.hg"))[0] == 2
+    assert invoke(capsys, "table", "--claim", "mv-conjecture", "--n", "5",
+                  "--n-max", "5")[0] == 2
     code, _, err = invoke(capsys, "detect", "--input",
                           str(tmp_path / "missing.hg"), "--r", "2")
     assert code == 2

@@ -98,6 +98,12 @@ def test_universe_guard():
         extremal_search(9, 4, 2)
 
 
+def test_k_above_n_has_an_empty_universe():
+    rep = extremal_search(3, 5, 2)
+    assert (rep.optimum, rep.complete, rep.nodes) == (0, True, 1)
+    assert rep.witness == Hypergraph(3)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         extremal_search(4, 3, 1)

@@ -65,10 +65,11 @@ def test_uniformity():
 
 
 def test_vertex_incidence_matches_edges():
-    h = complete_uniform(6, 3)
-    for v in range(6):
-        members = [i for i, e in enumerate(h.edges) if v in e]
-        assert vertices_of(h.vertex_incidence[v]) == tuple(members)
+    # C(9,4) has 126 edges: more than 64, and not a multiple of 8
+    for h in (complete_uniform(6, 3), complete_uniform(9, 4)):
+        for v in range(h.n):
+            members = [i for i, e in enumerate(h.edges) if v in e]
+            assert vertices_of(h.vertex_incidence[v]) == tuple(members)
 
 
 def test_parse_basic():

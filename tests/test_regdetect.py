@@ -80,6 +80,21 @@ def test_non_uniform_input_is_accepted():
     assert verify_certificate(g, res.certificate) == (True, "ok")
 
 
+def test_empty_edge_is_searched():
+    # `()` lies in no vertex's incidence mask; the solver still searches
+    # it because its caller hands over the whole edge family, and {()} is
+    # the first regular subgraph in search order, as the oracle's.
+    for h in (Hypergraph(3, [()]), Hypergraph(4, [(), (0, 1, 2), (1, 2, 3)]),
+              Hypergraph(3, [(), (0, 1), (0, 2), (1, 2)]), Hypergraph(0, [()])):
+        for r in (2, 3):
+            res = find_regular(h, r)
+            cert = brute_force_regular(h, r)
+            assert res.status is SolveStatus.FOUND
+            assert res.certificate == cert
+            assert cert.edge_indices == (0,) and cert.covered == ()
+            assert verify_certificate(h, res.certificate) == (True, "ok")
+
+
 def test_agrees_with_oracle_on_random_instances():
     # Uniform hosts, then hosts mixing 2-, 3- and 4-edges whose last
     # vertices may lie in no edge.  Under a 5-node budget a run may stop
