@@ -207,8 +207,7 @@ def extremal_search(
         if any(c & ~chosen == 0 for c in regular_with[slot]):
             continue
         family = chosen | bit
-        res = _RegularSearch(edges, [x & family for x in inc], family, r).solve(
-            None, deadline, slot)
+        res = _RegularSearch(edges, inc, family, r).solve(None, deadline, slot)
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
             complete = False
             break

@@ -3,11 +3,12 @@
 An r-regular subgraph of H is a nonempty set S of distinct edges such that
 every vertex covered by S is covered exactly r times (and vertices outside
 the covered set are untouched).  find_regular runs a propagating DFS over
-edges in colex order on per-vertex degrees and undecided-edge masks, undone
-by restoring saved values; closing a vertex excludes all of its undecided
-edges with one mask update per vertex they touch.  brute_force_regular is
-the independent oracle that enumerates all nonempty edge subsets in
-ascending subset-mask order.
+edges in colex order whose whole state is two edge masks, the undecided and
+the chosen edges: a vertex's degree and undecided edges are read off the
+host's incidence masks, a backtrack restores the two masks, and closing a
+vertex excludes all of its undecided edges with one mask update.
+brute_force_regular is the independent oracle that enumerates all nonempty
+edge subsets in ascending subset-mask order.
 
 One budget rule serves this search and extremal_search: a node budget N
 visits at most N nodes and reports exactly N when it runs out, and
@@ -47,10 +48,15 @@ class SolverBudget:
     max_millis: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
-        if self.max_millis is not None and self.max_millis <= 0:
-            raise ValueError("max_millis must be positive")
+        # `_spent` tests nodes == max_nodes, so a fractional cap would never
+        # fire, and a NaN deadline is never passed: both are refused.
+        nodes, millis = self.max_nodes, self.max_millis
+        if nodes is not None and (isinstance(nodes, bool) or not isinstance(nodes, int)
+                                  or nodes < 1):
+            raise ValueError(f"max_nodes must be an integer >= 1, got {nodes!r}")
+        if millis is not None and (isinstance(millis, bool) or not isinstance(millis, (int, float))
+                                   or not millis > 0):
+            raise ValueError(f"max_millis must be a number > 0, got {millis!r}")
 
 
 @dataclass(frozen=True)
@@ -86,82 +92,60 @@ def _spent(nodes: int, max_nodes: int | None, deadline: float | None) -> bool:
 class _RegularSearch:
     """DFS with exclusion/inclusion propagation over per-vertex edge masks.
 
-    The state is `deg[v]` (included edges through v), `undec[v]` (the mask
-    of v's undecided edges), `open` (the mask of all undecided edges) and
-    `included`.  A vertex's remaining degree is undec[v].bit_count(), and
-    its state follows from (deg, remaining): untouched (deg 0), active
+    The state is two masks over the caller's edge numbering: `open`, the
+    undecided edges, and `chosen`, the included ones.  With `inc[v]` the
+    mask of v's edges, a vertex's degree is (inc[v] & chosen).bit_count()
+    and its undecided edges are inc[v] & open; its state follows from the
+    degree and the number of undecided edges: untouched (deg 0), active
     (1 <= deg < r), closed at r (deg == r), closed at 0 (deg 0 and fewer
-    than r remaining).  Propagation closes a vertex by excluding all of its
-    undecided edges u at once, one `undec[w]` update per vertex w they
-    touch; it force-includes the remaining edges of an active vertex that
-    has no slack, and fails on deficiency (an active vertex that can no
-    longer reach r).  A subsumption check prunes branches where an active
-    vertex needs more than another one through which all of its undecided
-    edges pass.
-
-    Every change appends (v, old undec[v], old deg[v]) to the trail of the
-    decision that made it; undoing the decision restores those values in
-    reverse order, and its stack frame restores `open` and the length of
-    `included`.
+    than r undecided).  Propagation closes a vertex by excluding all of its
+    undecided edges at once, one mask update; it force-includes the
+    undecided edges of an active vertex that has no slack, and fails on
+    deficiency (an active vertex that can no longer reach r).  A
+    subsumption check prunes branches where an active vertex needs more
+    than another one through which all of its undecided edges pass.  A
+    stack frame saves `open` and `chosen`, and a backtrack restores them.
 
     The solver runs in its caller's edge numbering: a mask's bit i stands
-    for edges[i].  `undec` is the caller's per-vertex mask of the edges to
-    search, which the solver owns and mutates, and `family` is the mask of
-    those edges; it is passed, not derived from `undec`, so an edge with no
-    vertices keeps its bit.  One instance runs one solve.
+    for edges[i].  `inc` is the caller's per-vertex incidence, which the
+    solver only reads, and `family` is the mask of the edges to search, a
+    subset of the edges `inc` covers plus any edge with no vertices, which
+    keeps its bit this way.  One instance runs one solve.
     """
 
-    def __init__(self, edges, undec: list[int], family: int, r: int):
-        self.n = len(undec)
+    def __init__(self, edges, inc, family: int, r: int):
+        self.n = len(inc)
         self.r = r
         self.edges = edges
-        self.undec = undec
-        self.deg = [0] * self.n
+        self.inc = inc
         self.open = family
-        self.included: list[int] = []
+        self.chosen = 0
         self.nodes = 0
 
-    # -- state changes, recorded on the trail ---------------------------
+    # -- state changes ---------------------------------------------------
 
-    def _include(self, e: int, trail: list, pending: list) -> None:
+    def _include(self, e: int, pending: list) -> None:
         bit = 1 << e
         self.open ^= bit
-        self.included.append(e)
-        undec, deg = self.undec, self.deg
-        for v in self.edges[e]:
-            trail.append((v, undec[v], deg[v]))
-            undec[v] ^= bit
-            deg[v] += 1
-            pending.append(v)
+        self.chosen |= bit
+        pending.extend(self.edges[e])
 
-    def _exclude(self, u: int, vs, trail: list, pending: list) -> None:
+    def _exclude(self, u: int, vs, pending: list) -> None:
         """Exclude every edge of the mask u, all of them undecided; `vs`
-        yields every vertex they touch (and maybe others, or repeats)."""
+        yields every vertex they touch (and maybe others), each once."""
         self.open ^= u
-        undec, deg = self.undec, self.deg
-        for w in vs:
-            x = undec[w]
-            out = x & u
-            if out:
-                trail.append((w, x, deg[w]))
-                undec[w] = x ^ out
-                pending.append(w)
-
-    def _undo(self, trail: list) -> None:
-        undec, deg = self.undec, self.deg
-        for v, u, d in reversed(trail):
-            undec[v] = u
-            deg[v] = d
+        inc = self.inc
+        pending.extend(w for w in vs if inc[w] & u)
 
     # -- propagation to fixpoint ---------------------------------------
 
-    def _propagate(self, trail: list, pending: list) -> bool:
-        r = self.r
-        deg, undec, edges = self.deg, self.undec, self.edges
+    def _propagate(self, pending: list) -> bool:
+        r, inc, edges = self.r, self.inc, self.edges
         while pending:
             v = pending.pop()
-            dv = deg[v]
-            u = undec[v]
+            x = inc[v]
+            dv = (x & self.chosen).bit_count()
+            u = x & self.open
             rem = u.bit_count()
             if dv >= r or (dv == 0 and rem < r):
                 if u:
@@ -169,8 +153,8 @@ class _RegularSearch:
                     # of it, scanning every vertex a step per vertex; below
                     # n/4 edges the walk is the cheaper one.
                     vs = (range(self.n) if 4 * rem >= self.n
-                          else (w for e in vertices_of(u) for w in edges[e]))
-                    self._exclude(u, vs, trail, pending)
+                          else dict.fromkeys(w for e in vertices_of(u) for w in edges[e]))
+                    self._exclude(u, vs, pending)
                 continue
             if dv == 0:
                 continue
@@ -180,21 +164,22 @@ class _RegularSearch:
             if rem == need:
                 for e in vertices_of(u):
                     for w in edges[e]:
-                        if deg[w] >= r:
+                        if (inc[w] & self.chosen).bit_count() >= r:
                             return False
-                    self._include(e, trail, pending)
+                    self._include(e, pending)
         return True
 
-    def _actives(self) -> list[int]:
-        r, deg = self.r, self.deg
-        return [v for v in range(self.n) if 1 <= deg[v] < r]
+    def _actives(self) -> list[tuple[int, int]]:
+        """(degree, undecided mask) of every active vertex."""
+        r, chosen, opened = self.r, self.chosen, self.open
+        return [(d, x & opened) for x in self.inc
+                if 1 <= (d := (x & chosen).bit_count()) < r]
 
-    def _subsumed(self, actives: list[int]) -> bool:
-        deg, undec = self.deg, self.undec
-        for u in actives:
-            du, uu = deg[u], undec[u]
-            for w in actives:
-                if du < deg[w] and uu & ~undec[w] == 0:
+    @staticmethod
+    def _subsumed(actives: list[tuple[int, int]]) -> bool:
+        for du, uu in actives:
+            for dw, uw in actives:
+                if du < dw and uu & ~uw == 0:
                     return True
         return False
 
@@ -203,21 +188,20 @@ class _RegularSearch:
     def solve(self, max_nodes: int | None, deadline: float | None,
               forced: int | None = None) -> SolveResult:
         """Include-first DFS over the undecided edges in index order, as a
-        loop over a stack with one (include, trail, open, len(included))
-        frame per decision on the current path.  A node is one decision;
-        `_spent` is asked before each.  Something included and no active
-        vertex is FOUND.  `forced` pre-includes one edge (used by the
-        extremal module, where the rest of the edge set is already known
-        free), which can complete a subgraph before any node."""
-        trail: list = []
+        loop over a stack with one (include, open, chosen) frame per
+        decision on the current path.  A node is one decision; `_spent` is
+        asked before each.  Something chosen and no active vertex is FOUND.
+        `forced` pre-includes one edge (used by the extremal module, where
+        the rest of the edge set is already known free), which can complete
+        a subgraph before any node."""
         pending = list(range(self.n))
         if forced is not None:
-            self._include(forced, trail, pending)
-        if not self._propagate(trail, pending):
+            self._include(forced, pending)
+        if not self._propagate(pending):
             return self._result(SolveStatus.NONE_EXISTS)
-        if self.included and not self._actives():
+        if self.chosen and not self._actives():
             return self._result(SolveStatus.FOUND)
-        stack: list[tuple[bool, list, int, int]] = []
+        stack: list[tuple[bool, int, int]] = []
         include = True
         while True:
             # Every edge below the lowest undecided one is decided, so that
@@ -226,26 +210,24 @@ class _RegularSearch:
                 if _spent(self.nodes, max_nodes, deadline):
                     return self._result(SolveStatus.BUDGET_EXHAUSTED)
                 self.nodes += 1
-                trail, pending = [], []
-                stack.append((include, trail, self.open, len(self.included)))
+                pending = []
+                stack.append((include, self.open, self.chosen))
                 low = self.open & -self.open
                 e = low.bit_length() - 1
                 if include:
-                    self._include(e, trail, pending)
+                    self._include(e, pending)
                 else:
-                    self._exclude(low, self.edges[e], trail, pending)
-                if self._propagate(trail, pending):
+                    self._exclude(low, self.edges[e], pending)
+                if self._propagate(pending):
                     actives = self._actives()
-                    if self.included and not actives:
+                    if self.chosen and not actives:
                         return self._result(SolveStatus.FOUND)
                     if not self._subsumed(actives):
                         include = True
                         continue
             # Backtrack to the deepest decision whose exclude branch is still open.
             while stack:
-                include, trail, self.open, size = stack.pop()
-                self._undo(trail)
-                del self.included[size:]
+                include, self.open, self.chosen = stack.pop()
                 if include:
                     include = False
                     break
@@ -255,7 +237,7 @@ class _RegularSearch:
     def _result(self, stat: SolveStatus) -> SolveResult:
         cert = None
         if stat is SolveStatus.FOUND:
-            found = tuple(sorted(self.included))
+            found = vertices_of(self.chosen)
             covered = tuple(sorted({v for e in found for v in self.edges[e]}))
             cert = Certificate(r=self.r, edge_indices=found, covered=covered)
         return SolveResult(status=stat, certificate=cert, nodes=self.nodes)
@@ -272,7 +254,7 @@ def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> S
     after the set-up, when the search does.
     """
     _check_r(r)
-    search = _RegularSearch(h.edges, list(h.vertex_incidence), (1 << len(h.edges)) - 1, r)
+    search = _RegularSearch(h.edges, h.vertex_incidence, (1 << len(h.edges)) - 1, r)
     return search.solve(*_limits(budget))
 
 

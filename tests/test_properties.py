@@ -1,0 +1,63 @@
+"""Property-based differential tests of the solver against both oracles."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import regular_subset
+from regulus.hypercore import Hypergraph
+from regulus.regdetect import (
+    SolverBudget,
+    SolveStatus,
+    brute_force_regular,
+    find_regular,
+    verify_certificate,
+)
+
+
+@st.composite
+def hosts(draw) -> Hypergraph:
+    """At most 12 distinct edges on all but at most two of n vertices, so
+    the last vertices may be isolated.  The edges have one size or a mix of
+    sizes 2 to 4, and about one host in eight has the empty edge `()`."""
+    n = 9 - draw(st.integers(0, 9))
+    used = n - draw(st.integers(0, min(2, n)))
+    sizes = draw(st.sets(st.integers(2, 4), min_size=1))
+    pool = [e for k in sorted(sizes) for e in combinations(range(used), k)]
+    empty = draw(st.sampled_from((False,) * 7 + (True,)))
+    top = min(12 - empty, len(pool))
+    m = top - draw(st.integers(0, top))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True)) if m else []
+    return Hypergraph(n, edges + [()] * empty)
+
+
+@settings(max_examples=300)
+@given(hosts(), st.integers(2, 4), st.integers(1, 40))
+def test_find_regular_agrees_with_the_oracles(h, r, max_nodes):
+    # {()} is a regular subgraph (every vertex it covers, none, has degree
+    # r); regular_subset only counts subsets that cover some vertex.
+    exists = () in h.edges or regular_subset(h.edges, h.n, r) is not None
+    oracle = brute_force_regular(h, r)
+    assert (oracle is not None) == exists
+    if oracle is not None:
+        assert verify_certificate(h, oracle) == (True, "ok")
+
+    full = find_regular(h, r)
+    assert full.status is (SolveStatus.FOUND if exists else SolveStatus.NONE_EXISTS)
+    if exists:
+        assert verify_certificate(h, full.certificate) == (True, "ok")
+
+    # A budgeted run either stops on exactly its node budget or is the
+    # unbudgeted run: same status, certificate and node count.
+    budget = SolverBudget(max_nodes=max_nodes)
+    budgeted = find_regular(h, r, budget)
+    if budgeted.status is SolveStatus.BUDGET_EXHAUSTED:
+        assert (budgeted.nodes, budgeted.certificate) == (max_nodes, None)
+    else:
+        assert budgeted == full
+
+    assert find_regular(h, r) == full
+    assert find_regular(h, r, budget) == budgeted

@@ -206,6 +206,24 @@ def test_wide_host_ends_on_its_node_budget():
     assert res.nodes == 2000
 
 
+def test_sparse_closures_walk_their_edges():
+    # Most vertices of this host have degree 0 or 1, so at r = 2 the root
+    # closes them one after another until no edge is left.  Each closure
+    # excludes a few edges; taking the touched vertices from those edges,
+    # not from a scan of all 20,000, keeps the root propagation well under
+    # a second (a scan at every closure took 48.6 s).
+    rng = random.Random(3)
+    pool = set()
+    while len(pool) < 12000:
+        pool.add(tuple(sorted(rng.sample(range(20000), 3))))
+    h = Hypergraph(20000, sorted(pool))
+    h.vertex_incidence
+    start = time.monotonic()
+    res = find_regular(h, 2)
+    assert time.monotonic() - start < 5.0
+    assert (res.status, res.nodes) == (SolveStatus.NONE_EXISTS, 0)
+
+
 def test_deadline_is_checked_at_every_node():
     h, _ = full_star(25, 4)
     start = time.monotonic()
@@ -215,10 +233,16 @@ def test_deadline_is_checked_at_every_node():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SolverBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        SolverBudget(max_millis=0)
+    # A fractional node cap or a NaN deadline would never fire, and the
+    # search would run unbounded.
+    for bad in (0, -3, 2.5, True, float("nan"), "10"):
+        with pytest.raises(ValueError, match="max_nodes"):
+            SolverBudget(max_nodes=bad)
+    for bad in (0, -1.5, True, float("nan"), "10"):
+        with pytest.raises(ValueError, match="max_millis"):
+            SolverBudget(max_millis=bad)
+    assert SolverBudget(max_nodes=1, max_millis=0.5).max_nodes == 1
+    assert SolverBudget(max_millis=float("inf")).max_millis == float("inf")
 
 
 def test_gadget_contains_regular_subgraph_when_pairs_suffice():
