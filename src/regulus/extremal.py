@@ -21,7 +21,7 @@ from math import comb
 from .errors import GuardError
 from .hypercore import Hypergraph, mask_of, vertices_of
 from .regdetect import SolverBudget, SolveStatus, find_regular
-from .regdetect import _check_r, _limits, _RegularSearch, _spent
+from .regdetect import _check_r, _limits, _search, _spent
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def extremal_search(
         if any(c & ~chosen == 0 for c in regular_with[slot]):
             continue
         family = chosen | bit
-        res = _RegularSearch(edges, inc, family, r).solve(None, deadline, slot)
+        res = _search(edges, inc, family, r, None, deadline, slot)
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
             complete = False
             break

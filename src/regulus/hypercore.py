@@ -17,6 +17,11 @@ from typing import Iterable
 
 from .errors import ParseError
 
+# The largest vertex count a Hypergraph accepts.  A vertex v costs a
+# (v+1)-bit mask, so without a cap one huge id in an input file would
+# allocate gigabytes or overflow; 2^20 keeps every mask under 128 KiB.
+MAX_VERTICES = 1 << 20
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask encoding of a vertex set."""
@@ -49,7 +54,7 @@ class Hypergraph:
     """Immutable hypergraph with canonical (colex) edge storage.
 
     Invariants:
-      * every vertex id lies in [0, n);
+      * 0 <= n <= MAX_VERTICES, and every vertex id lies in [0, n);
       * each edge is a strictly ascending vertex tuple;
       * edges are distinct and listed in colex order (ascending masks).
 
@@ -63,6 +68,8 @@ class Hypergraph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count must be at most {MAX_VERTICES}")
         normalized: list[tuple[int, ...]] = []
         first: dict[int, int] = {}  # edge mask -> position of its first occurrence
         for i, edge in enumerate(edges):
@@ -185,6 +192,8 @@ def parse(text: str) -> Hypergraph:
         raise ParseError(f"line {header_no}: malformed header {header!r}, expected 'n m'") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {header_no}: malformed header {header!r}, counts must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {header_no}: vertex count {fields[0]} is above the limit {MAX_VERTICES}")
     body = content[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}")

@@ -2,13 +2,14 @@
 
 An r-regular subgraph of H is a nonempty set S of distinct edges such that
 every vertex covered by S is covered exactly r times (and vertices outside
-the covered set are untouched).  find_regular runs a propagating DFS over
-edges in colex order whose whole state is two edge masks, the undecided and
-the chosen edges: a vertex's degree and undecided edges are read off the
-host's incidence masks, a backtrack restores the two masks, and closing a
-vertex excludes all of its undecided edges with one mask update.
-brute_force_regular is the independent oracle that enumerates all nonempty
-edge subsets in ascending subset-mask order.
+the covered set are untouched).  find_regular runs _search, a propagating
+DFS over edges in colex order whose whole state is two edge masks held in
+locals, `open` (the undecided edges) and `chosen` (the included ones): a
+vertex's degree and undecided edges are its incidence mask ANDed with
+them, a backtrack restores the two masks, and closing a vertex excludes
+all of its undecided edges with one mask update.  brute_force_regular is
+the independent oracle that enumerates all nonempty edge subsets in
+ascending subset-mask order.
 
 One budget rule serves this search and extremal_search: a node budget N
 visits at most N nodes and reports exactly N when it runs out, and
@@ -89,158 +90,118 @@ def _spent(nodes: int, max_nodes: int | None, deadline: float | None) -> bool:
     return nodes == max_nodes or (deadline is not None and time.monotonic() > deadline)
 
 
-class _RegularSearch:
-    """DFS with exclusion/inclusion propagation over per-vertex edge masks.
+def _propagate(edges, inc, r: int, open: int, chosen: int, pending: list):
+    """Propagate from the vertices in `pending` (a stack) to the fixpoint.
 
-    The state is two masks over the caller's edge numbering: `open`, the
-    undecided edges, and `chosen`, the included ones.  With `inc[v]` the
-    mask of v's edges, a vertex's degree is (inc[v] & chosen).bit_count()
-    and its undecided edges are inc[v] & open; its state follows from the
-    degree and the number of undecided edges: untouched (deg 0), active
-    (1 <= deg < r), closed at r (deg == r), closed at 0 (deg 0 and fewer
-    than r undecided).  Propagation closes a vertex by excluding all of its
-    undecided edges at once, one mask update; it force-includes the
-    undecided edges of an active vertex that has no slack, and fails on
-    deficiency (an active vertex that can no longer reach r).  A
-    subsumption check prunes branches where an active vertex needs more
-    than another one through which all of its undecided edges pass.  A
-    stack frame saves `open` and `chosen`, and a backtrack restores them.
+    With degree d = (inc[v] & chosen).bit_count() and undecided edges
+    inc[v] & open, a vertex is untouched (d == 0), active (1 <= d < r),
+    closed at r (d == r) or closed at 0 (d == 0 and fewer than r undecided
+    edges).  Closing a vertex excludes all of its undecided edges at once;
+    an active vertex with no slack includes all of its undecided edges.
+    Every vertex a change touches is pushed.  Returns the new (open,
+    chosen), or None on a conflict: an active vertex that can no longer
+    reach r, or an edge to include through a vertex already at r."""
+    n = len(inc)
+    while pending:
+        v = pending.pop()
+        x = inc[v]
+        dv = (x & chosen).bit_count()
+        u = x & open
+        rem = u.bit_count()
+        if dv >= r or (dv == 0 and rem < r):
+            if u:
+                # Walking u's edges costs a step per edge and per vertex
+                # of it, scanning every vertex a step per vertex; below
+                # n/4 edges the walk is the cheaper one.
+                vs = (range(n) if 4 * rem >= n
+                      else dict.fromkeys(w for e in vertices_of(u) for w in edges[e]))
+                open ^= u
+                pending.extend(w for w in vs if inc[w] & u)
+            continue
+        if dv == 0:
+            continue
+        need = r - dv
+        if rem < need:
+            return None
+        if rem == need:
+            for e in vertices_of(u):
+                for w in edges[e]:
+                    if (inc[w] & chosen).bit_count() >= r:
+                        return None
+                open ^= 1 << e
+                chosen |= 1 << e
+                pending.extend(edges[e])
+    return open, chosen
 
-    The solver runs in its caller's edge numbering: a mask's bit i stands
-    for edges[i].  `inc` is the caller's per-vertex incidence, which the
-    solver only reads, and `family` is the mask of the edges to search, a
-    subset of the edges `inc` covers plus any edge with no vertices, which
-    keeps its bit this way.  One instance runs one solve.
-    """
 
-    def __init__(self, edges, inc, family: int, r: int):
-        self.n = len(inc)
-        self.r = r
-        self.edges = edges
-        self.inc = inc
-        self.open = family
-        self.chosen = 0
-        self.nodes = 0
-
-    # -- state changes ---------------------------------------------------
-
-    def _include(self, e: int, pending: list) -> None:
-        bit = 1 << e
-        self.open ^= bit
-        self.chosen |= bit
-        pending.extend(self.edges[e])
-
-    def _exclude(self, u: int, vs, pending: list) -> None:
-        """Exclude every edge of the mask u, all of them undecided; `vs`
-        yields every vertex they touch (and maybe others), each once."""
-        self.open ^= u
-        inc = self.inc
-        pending.extend(w for w in vs if inc[w] & u)
-
-    # -- propagation to fixpoint ---------------------------------------
-
-    def _propagate(self, pending: list) -> bool:
-        r, inc, edges = self.r, self.inc, self.edges
-        while pending:
-            v = pending.pop()
-            x = inc[v]
-            dv = (x & self.chosen).bit_count()
-            u = x & self.open
-            rem = u.bit_count()
-            if dv >= r or (dv == 0 and rem < r):
-                if u:
-                    # Walking u's edges costs a step per edge and per vertex
-                    # of it, scanning every vertex a step per vertex; below
-                    # n/4 edges the walk is the cheaper one.
-                    vs = (range(self.n) if 4 * rem >= self.n
-                          else dict.fromkeys(w for e in vertices_of(u) for w in edges[e]))
-                    self._exclude(u, vs, pending)
-                continue
-            if dv == 0:
-                continue
-            need = r - dv
-            if rem < need:
-                return False
-            if rem == need:
-                for e in vertices_of(u):
-                    for w in edges[e]:
-                        if (inc[w] & self.chosen).bit_count() >= r:
-                            return False
-                    self._include(e, pending)
-        return True
-
-    def _actives(self) -> list[tuple[int, int]]:
-        """(degree, undecided mask) of every active vertex."""
-        r, chosen, opened = self.r, self.chosen, self.open
-        return [(d, x & opened) for x in self.inc
-                if 1 <= (d := (x & chosen).bit_count()) < r]
-
-    @staticmethod
-    def _subsumed(actives: list[tuple[int, int]]) -> bool:
-        for du, uu in actives:
-            for dw, uw in actives:
-                if du < dw and uu & ~uw == 0:
-                    return True
+def _subsumed(actives: list[tuple[int, int]]) -> bool:
+    """Whether some active vertex u (degree, undecided mask) has a lower
+    degree than an active w that all of u's undecided edges pass through:
+    each edge u gains raises w too, so w would pass r before u reaches it.
+    A pair of equal degrees never prunes, so when all active vertices share
+    one degree (always at r = 2) there is nothing to compare."""
+    if len({d for d, _ in actives}) < 2:
         return False
+    for du, uu in actives:
+        for dw, uw in actives:
+            if du < dw and uu & ~uw == 0:
+                return True
+    return False
 
-    # -- the search ------------------------------------------------------
 
-    def solve(self, max_nodes: int | None, deadline: float | None,
-              forced: int | None = None) -> SolveResult:
-        """Include-first DFS over the undecided edges in index order, as a
-        loop over a stack with one (include, open, chosen) frame per
-        decision on the current path.  A node is one decision; `_spent` is
-        asked before each.  Something chosen and no active vertex is FOUND.
-        `forced` pre-includes one edge (used by the extremal module, where
-        the rest of the edge set is already known free), which can complete
-        a subgraph before any node."""
-        pending = list(range(self.n))
-        if forced is not None:
-            self._include(forced, pending)
-        if not self._propagate(pending):
-            return self._result(SolveStatus.NONE_EXISTS)
-        if self.chosen and not self._actives():
-            return self._result(SolveStatus.FOUND)
-        stack: list[tuple[bool, int, int]] = []
-        include = True
-        while True:
-            # Every edge below the lowest undecided one is decided, so that
-            # edge is the next in index order.
-            if self.open:
-                if _spent(self.nodes, max_nodes, deadline):
-                    return self._result(SolveStatus.BUDGET_EXHAUSTED)
-                self.nodes += 1
-                pending = []
-                stack.append((include, self.open, self.chosen))
-                low = self.open & -self.open
-                e = low.bit_length() - 1
-                if include:
-                    self._include(e, pending)
-                else:
-                    self._exclude(low, self.edges[e], pending)
-                if self._propagate(pending):
-                    actives = self._actives()
-                    if self.chosen and not actives:
-                        return self._result(SolveStatus.FOUND)
-                    if not self._subsumed(actives):
-                        include = True
-                        continue
+def _search(edges, inc, family: int, r: int, max_nodes: int | None,
+            deadline: float | None, forced: int | None = None) -> SolveResult:
+    """Include-first DFS over the undecided edges in index order, as a loop
+    over a stack with one (include, open, chosen) frame per decision on the
+    current path.  A node is one decision; `_spent` is asked before each.
+    Something chosen and no active vertex is FOUND; below the root, a
+    `_subsumed` state is a dead end.  `forced` pre-includes one edge (used
+    by the extremal module, where the rest of the family is already known
+    free), which can complete a subgraph before any node.
+
+    The search runs in its caller's edge numbering: a mask's bit i stands
+    for edges[i].  `inc` is the caller's per-vertex incidence, which is only
+    read, and `family` is the mask of the edges to search, a subset of the
+    edges `inc` covers plus any edge with no vertices, which keeps its bit
+    this way."""
+    pending = list(range(len(inc)))
+    chosen = 0
+    if forced is not None:
+        chosen = 1 << forced
+        pending.extend(edges[forced])
+    state = _propagate(edges, inc, r, family ^ chosen, chosen, pending)
+    nodes = 0
+    stack: list[tuple[bool, int, int]] = []
+    include = True
+    while True:
+        if state is not None:
+            open, chosen = state
+            actives = [(d, x & open) for x in inc if 1 <= (d := (x & chosen).bit_count()) < r]
+            if chosen and not actives:
+                found = vertices_of(chosen)
+                covered = tuple(sorted({v for e in found for v in edges[e]}))
+                return SolveResult(SolveStatus.FOUND, Certificate(r, found, covered), nodes)
+            if stack and _subsumed(actives):
+                state = None
+        if state is None or not open:
             # Backtrack to the deepest decision whose exclude branch is still open.
             while stack:
-                include, self.open, self.chosen = stack.pop()
+                include, open, chosen = stack.pop()
                 if include:
                     include = False
                     break
             else:
-                return self._result(SolveStatus.NONE_EXISTS)
-
-    def _result(self, stat: SolveStatus) -> SolveResult:
-        cert = None
-        if stat is SolveStatus.FOUND:
-            found = vertices_of(self.chosen)
-            covered = tuple(sorted({v for e in found for v in self.edges[e]}))
-            cert = Certificate(r=self.r, edge_indices=found, covered=covered)
-        return SolveResult(status=stat, certificate=cert, nodes=self.nodes)
+                return SolveResult(SolveStatus.NONE_EXISTS, None, nodes)
+        # Every edge below the lowest undecided one is decided, so that edge
+        # is the next in index order.  Both branches close it in `open`.
+        if _spent(nodes, max_nodes, deadline):
+            return SolveResult(SolveStatus.BUDGET_EXHAUSTED, None, nodes)
+        nodes += 1
+        stack.append((include, open, chosen))
+        low = open & -open
+        state = _propagate(edges, inc, r, open ^ low, chosen | low if include else chosen,
+                           list(edges[low.bit_length() - 1]))
+        include = True
 
 
 def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> SolveResult:
@@ -254,8 +215,7 @@ def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> S
     after the set-up, when the search does.
     """
     _check_r(r)
-    search = _RegularSearch(h.edges, h.vertex_incidence, (1 << len(h.edges)) - 1, r)
-    return search.solve(*_limits(budget))
+    return _search(h.edges, h.vertex_incidence, (1 << len(h.edges)) - 1, r, *_limits(budget))
 
 
 def brute_force_regular(h: Hypergraph, r: int) -> Certificate | None:

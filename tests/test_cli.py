@@ -411,5 +411,14 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert "error: line 2" in err
 
 
+def test_huge_vertex_count_is_usage_error(tmp_path):
+    path = tmp_path / "huge.hg"
+    path.write_text("100000000000000000000 1\n99999999999999999999\n")
+    proc = python("-m", "regulus.cli", "detect", "--input", str(path), "--r", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 1: vertex count")
+    assert "Traceback" not in proc.stderr
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0

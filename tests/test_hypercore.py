@@ -10,6 +10,7 @@ from oracles import max_matching_size
 from regulus.errors import ParseError
 from regulus.gadgets import full_star, gadget_h
 from regulus.hypercore import (
+    MAX_VERTICES,
     Hypergraph,
     complete_uniform,
     degree_vector,
@@ -107,6 +108,17 @@ def test_parse_errors_carry_line_numbers():
         parse("4 2\n0 1 2\n")
     with pytest.raises(ParseError, match="empty input"):
         parse("# nothing\n")
+
+
+def test_vertex_count_is_capped():
+    # Ids of 2^63 and more: below that, a constructor without the cap would
+    # try to allocate a (v+1)-bit mask of up to a gigabyte before failing.
+    assert Hypergraph(MAX_VERTICES).n == MAX_VERTICES >= 20_000
+    for n in (MAX_VERTICES + 1, 2**64):
+        with pytest.raises(ValueError, match=f"vertex count must be at most {MAX_VERTICES}"):
+            Hypergraph(n, [(2**63,)])
+    with pytest.raises(ParseError, match="line 1: vertex count 100000000000000000000 is above"):
+        parse("100000000000000000000 1\n99999999999999999999\n")
 
 
 @pytest.mark.parametrize("n, edges, message, parse_message", [

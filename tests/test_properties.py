@@ -1,19 +1,22 @@
-"""Property-based differential tests of the solver against both oracles."""
+"""Property-based tests: the solver against both oracles, and the text
+formats' parsers on drawn input."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import regular_subset
-from regulus.hypercore import Hypergraph
+from regulus.errors import ParseError
+from regulus.hypercore import Hypergraph, parse, serialize
 from regulus.regdetect import (
     SolverBudget,
     SolveStatus,
     brute_force_regular,
     find_regular,
+    parse_certificate,
     verify_certificate,
 )
 
@@ -61,3 +64,39 @@ def test_find_regular_agrees_with_the_oracles(h, r, max_nodes):
 
     assert find_regular(h, r) == full
     assert find_regular(h, r, budget) == budgeted
+
+
+@settings(max_examples=200)
+@given(hosts().filter(lambda h: () not in h.edges))
+def test_serialize_parse_roundtrip(h):
+    assert parse(serialize(h)) == h
+
+
+# Ids of 2^64 and more, whose masks no host can hold, among small ones; the
+# junk is signs, separators, a comment mark, a non-ASCII digit and a literal
+# over Python's int-parsing limit.
+INTS = ("0", "1", "2", str(2**64), str(2**65), str(10**20))
+JUNK = ("-1", "+2", "1_0", "x", "1.5", "#", "", "\u0663", "9" * 4400)
+
+
+@st.composite
+def texts(draw, tokens: tuple[str, ...], header: bool) -> str:
+    """Lines of tokens; with `header`, first an "n m" line with an integer n
+    and the count of the lines after it, so that parsing gets past it."""
+    line = st.lists(st.sampled_from(tokens), min_size=1, max_size=4).map(" ".join)
+    body = draw(st.lists(line, max_size=4))
+    if header:
+        body.insert(0, f"{draw(st.sampled_from(INTS))} {len(body)}")
+    return draw(st.sampled_from(("\n", "\r\n"))).join(body)
+
+
+@settings(max_examples=300)
+@given(st.one_of(texts(INTS, header=True), texts(INTS + JUNK, header=False),
+                 st.text(max_size=30)))
+@example("100000000000000000000 1\n99999999999999999999\n")
+def test_parsers_raise_only_parse_error(text):
+    for parser in (parse, parse_certificate):
+        try:
+            parser(text)
+        except ParseError:
+            pass
