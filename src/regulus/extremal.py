@@ -6,9 +6,10 @@ depth-first search over the complete k-set universe in colex order, pruning
 with an incremental solver call (adding an edge to a regular-free set can
 only create regular subgraphs through that edge) and a remaining-slots bound.
 A subfamily of a free family is free, so whether F + e is free is monotone
-in F; each candidate edge remembers the last family found free with it and
-the regular subfamilies found through it, and a solve runs only when
-neither decides the inclusion.
+in F; each candidate edge remembers every family found free with it and
+every regular subfamily found through it, indexed by slot so that a lookup
+is one AND or OR per slot, and a solve runs only when neither decides the
+inclusion.
 """
 
 from __future__ import annotations
@@ -137,13 +138,24 @@ def extremal_search(
     always runs to the end.
 
     Including edge e in a free family F is decided by the true verdict on
-    F + e, reached in one of three ways.  F + e is free if F is a subset of
-    free_with[e], the last family found free with e (it starts empty: one
-    edge alone is free for r >= 2).  F + e is not free if some entry of
-    regular_with[e], a found certificate minus e, is a subset of F.
-    Otherwise an inner solve with e forced decides, and its answer is
-    stored.  The memos skip solves without changing any decision, so the
-    tree, the witness and the node count do not depend on them."""
+    F + e, reached by the first of four checks that decides it.  F + e is
+    free if F is a subset of free_with[e], the last family found free with
+    e (it starts empty: one edge alone is free for r >= 2).  F + e is not
+    free if some certificate found through e, minus e, is a subset of F:
+    bit j of reg_in[e][t] says that the j-th such certificate holds slot t,
+    so OR-ing reg_in[e][t] over the certificates' slots outside F leaves
+    exactly the bits of the certificates inside F clear.  F + e is free if
+    some family found free with e holds F: free_in[e][t] is indexed the
+    same way, and the AND of free_in[e][t] over the slots t of F keeps the
+    bits of the families that hold all of F.  Otherwise an inner solve with
+    e forced decides, and its answer is stored.  The memos skip solves
+    without changing any decision, so the tree, the witness and the node
+    count do not depend on them.
+
+    With isomorph_reject, a state (slot, chosen) with slot < 8 is pruned
+    when an isomorphic one was visited: its key is the least pair of slot
+    masks (chosen, excluded) over the vertex permutations, each applied as
+    the slot permutation it induces."""
     _check_r(r)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -158,25 +170,30 @@ def extremal_search(
     start = time.perf_counter()
     max_nodes, deadline = _limits(budget)
 
-    # Families are bitmasks over universe slots.
+    # Families are bitmasks over universe slots.  Per candidate slot e:
+    # free_with[e] is the last family found free with e; bit j of
+    # free_in[e][t] says that the j-th family found free with e holds slot
+    # t, and bit j of reg_in[e][t] that the j-th certificate found through
+    # e (minus e) does; reg_union[e] is the union of those certificates.
     free_with = [0] * total
-    regular_with: list[list[int]] = [[] for _ in range(total)]
+    free_in = [[0] * total for _ in range(total)]
+    free_count = [0] * total
+    reg_in = [[0] * total for _ in range(total)]
+    reg_count = [0] * total
+    reg_union = [0] * total
     best = sum(1 << s for s, e in enumerate(edges) if e[0] == 0)
     nodes = 0
     seen_states: set = set()
-    perms = list(permutations(range(n))) if isomorph_reject else []
+    # Each vertex permutation as the images of the slots canon reads; the
+    # key of a state is the least (chosen, excluded) mask pair over them.
+    slot_perms = list(dict.fromkeys(
+        tuple(1 << universe.mask_index[mask_of(pi[v] for v in e)] for e in edges[:8])
+        for pi in permutations(range(n)))) if isomorph_reject else []
 
     def canon(chosen: int, slot: int):
-        chosen_edges = [edges[s] for s in vertices_of(chosen)]
-        excluded = [edges[s] for s in vertices_of(~chosen & ((1 << slot) - 1))]
-        best = None
-        for pi in perms:
-            mapped_c = tuple(sorted(sum(1 << pi[v] for v in e) for e in chosen_edges))
-            mapped_e = tuple(sorted(sum(1 << pi[v] for v in e) for e in excluded))
-            key = (mapped_c, mapped_e)
-            if best is None or key < best:
-                best = key
-        return slot, best
+        cs = vertices_of(chosen)
+        xs = vertices_of(~chosen & ((1 << slot) - 1))
+        return slot, min((sum(b[s] for s in cs), sum(b[s] for s in xs)) for b in slot_perms)
 
     # Include-first DFS; a node's excluded child is pushed below its
     # included one, so it is visited after the whole included subtree.
@@ -201,20 +218,54 @@ def extremal_search(
             seen_states.add(key)
         stack.append((slot + 1, chosen))
         bit = 1 << slot
-        if chosen & ~free_with[slot] == 0:
-            stack.append((slot + 1, chosen | bit))
-            continue
-        if any(c & ~chosen == 0 for c in regular_with[slot]):
-            continue
         family = chosen | bit
+        if chosen & ~free_with[slot] == 0:
+            stack.append((slot + 1, family))
+            continue
+        # A certificate lies inside chosen iff none of its slots is outside.
+        count = reg_count[slot]
+        if count:
+            row, full, hit = reg_in[slot], (1 << count) - 1, 0
+            m = reg_union[slot] & ~chosen
+            while m:
+                low = m & -m
+                hit |= row[low.bit_length() - 1]
+                if hit == full:
+                    break
+                m ^= low
+            if hit != full:
+                continue
+        # A stored free family holds chosen iff it holds each of its slots.
+        count = free_count[slot]
+        if count:
+            row, hit = free_in[slot], (1 << count) - 1
+            m = chosen
+            while m:
+                low = m & -m
+                hit &= row[low.bit_length() - 1]
+                if not hit:
+                    break
+                m ^= low
+            if hit:
+                stack.append((slot + 1, family))
+                continue
         res = _search(edges, inc, family, r, None, deadline, slot)
         if res.status is SolveStatus.BUDGET_EXHAUSTED:
             complete = False
             break
         if res.status is SolveStatus.FOUND:
-            regular_with[slot].append(mask_of(res.certificate.edge_indices) & ~bit)
+            cert = mask_of(res.certificate.edge_indices) & ~bit
+            row, j = reg_in[slot], 1 << reg_count[slot]
+            for t in vertices_of(cert):
+                row[t] |= j
+            reg_count[slot] += 1
+            reg_union[slot] |= cert
         else:
             free_with[slot] = chosen
+            row, j = free_in[slot], 1 << free_count[slot]
+            for t in vertices_of(chosen):
+                row[t] |= j
+            free_count[slot] += 1
             stack.append((slot + 1, family))
 
     witness = Hypergraph(n, [edges[s] for s in vertices_of(best)])

@@ -228,7 +228,10 @@ def example_b(n: int, k: int, c: int) -> tuple[Hypergraph, GadgetDescriptor]:
 
 def example_b_free_threshold(k: int, c: int) -> int:
     """Largest edge degree bound: no r-regular subgraph exists for any
-    r strictly above this value."""
+    r strictly above this value.  Needs k >= 2 (the bound counts
+    (k-2)-sets)."""
+    if k < 2:
+        raise ValueError(f"example_b_free_threshold needs k >= 2, got k={k}")
     return c * comb(c * (k - 1), k - 2)
 
 

@@ -56,6 +56,35 @@ def extremal_by_enumeration(n, k, r):
     return best
 
 
+def extremal_tree(n, k, r):
+    """The outer tree of an include-first DFS for ex(n, k, r), without memos:
+    k-sets in colex order, the star on vertex 0 as the first incumbent, a
+    node pruned when its chosen count plus the slots left cannot beat the
+    incumbent, and each inclusion decided by regular_subset.  Returns
+    (optimum, nodes, witness edges in colex order).  Tiny n only."""
+    universe = sorted(combinations(range(n), k), key=lambda e: sum(1 << v for v in e))
+    total = len(universe)
+    best = [e for e in universe if e[0] == 0]
+    nodes = 0
+
+    def visit(slot, chosen):
+        nonlocal best, nodes
+        nodes += 1
+        if slot == total:
+            if len(chosen) > len(best):
+                best = chosen
+            return
+        if len(chosen) + total - slot <= len(best):
+            return
+        family = chosen + [universe[slot]]
+        if regular_subset(family, n, r) is None:
+            visit(slot + 1, family)
+        visit(slot + 1, chosen)
+
+    visit(0, [])
+    return len(best), nodes, best
+
+
 def sunflower_exists(edges, p):
     """Exhaustive p-sunflower test over all p-subsets of edges."""
     sets = [frozenset(e) for e in edges]

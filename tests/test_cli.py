@@ -363,6 +363,13 @@ def test_table_example_b(capsys):
     ]
 
 
+def test_table_example_b_refuses_k_below_2(capsys):
+    code, stdout, err = invoke(capsys, "table", "--claim", "example-b", "--k", "1", "--n-max", "4")
+    assert code == 2
+    assert stdout == ""
+    assert "k >= 2, got k=1" in err
+
+
 def test_table_text_is_aligned(capsys):
     code, stdout, _ = invoke(capsys, "table", "--claim", "star-extremal",
                              "--k", "3", "--r", "2", "--n-max", "5")

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from oracles import extremal_by_enumeration, min_cover_by_scan, wedge_total
+from oracles import extremal_by_enumeration, extremal_tree, min_cover_by_scan, wedge_total
 from regulus.errors import GuardError
 from regulus.gadgets import full_star, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform
@@ -66,6 +66,32 @@ def test_outer_tree_is_pinned():
     assert (iso.optimum, iso.complete, iso.nodes) == (11, True, 11722)
     cut = extremal_search(7, 3, 2, budget=SolverBudget(max_nodes=10000))
     assert (cut.optimum, cut.complete, cut.nodes) == (15, False, 10000)
+
+
+def test_isomorph_tree_is_pinned():
+    # isomorph rejection prunes a state whose class was seen; how the key
+    # of a class is encoded must not move these counts
+    reps = {t: extremal_search(*t, isomorph_reject=True)
+            for t in ((6, 3, 3), (6, 3, 4), (6, 4, 4), (5, 3, 3))}
+    assert {t: (rep.complete, rep.nodes) for t, rep in reps.items()} == {
+        (6, 3, 3): (True, 10677), (6, 3, 4): (True, 15057), (6, 4, 4): (True, 388),
+        (5, 3, 3): (True, 67)}
+    cut = extremal_search(7, 3, 3, budget=SolverBudget(max_nodes=20000), isomorph_reject=True)
+    assert (cut.optimum, cut.complete, cut.nodes) == (15, False, 20000)
+
+
+def test_matches_tree_oracle():
+    # the whole outer tree, not only its optimum: the memos may skip solves
+    # but never change an inclusion, so nodes and witness match a DFS that
+    # decides every inclusion by subset scan
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for r in (2, 3, 4, 5):
+                optimum, nodes, witness = extremal_tree(n, k, r)
+                rep = extremal_search(n, k, r)
+                assert rep.complete, (n, k, r)
+                assert (rep.optimum, rep.nodes, list(rep.witness.edges)) == (
+                    optimum, nodes, witness), (n, k, r)
 
 
 def test_optimum_at_least_full_star():

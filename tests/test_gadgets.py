@@ -213,6 +213,13 @@ def test_example_b_preconditions():
         example_b(3, 3, 2)
 
 
+def test_example_b_threshold_needs_k_at_least_2():
+    # the bound counts (k-2)-sets, so k = 1 has none to count
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"k >= 2, got k={k}"):
+            example_b_free_threshold(k, 2)
+
+
 def test_bes_free_on_graphs_is_maximal_matching():
     # no 2 edges on <= 3 vertices means all edges pairwise disjoint
     for n, seed in ((8, 0), (9, 3), (10, 11)):
