@@ -229,9 +229,11 @@ def example_b(n: int, k: int, c: int) -> tuple[Hypergraph, GadgetDescriptor]:
 def example_b_free_threshold(k: int, c: int) -> int:
     """Largest edge degree bound: no r-regular subgraph exists for any
     r strictly above this value.  Needs k >= 2 (the bound counts
-    (k-2)-sets)."""
+    (k-2)-sets) and c >= 2, as example_b does."""
     if k < 2:
         raise ValueError(f"example_b_free_threshold needs k >= 2, got k={k}")
+    if c < 2:
+        raise ValueError(f"example_b_free_threshold needs c >= 2, got c={c}")
     return c * comb(c * (k - 1), k - 2)
 
 

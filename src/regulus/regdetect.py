@@ -7,7 +7,11 @@ DFS over edges in colex order whose whole state is two edge masks held in
 locals, `open` (the undecided edges) and `chosen` (the included ones): a
 vertex's degree and undecided edges are its incidence mask ANDed with
 them, a backtrack restores the two masks, and closing a vertex excludes
-all of its undecided edges with one mask update.  brute_force_regular is
+all of its undecided edges with one mask update.  A dominance rule prunes
+and excludes: when every undecided edge of an active vertex u passes
+through w, w gains whatever u gains, so w must not outrank u in degree,
+and at equal degrees w takes no edge that avoids u (see _propagate).  It
+proves a full star free in O(m) nodes.  brute_force_regular is
 the independent oracle that enumerates all nonempty edge subsets in
 ascending subset-mask order.
 
@@ -98,55 +102,78 @@ def _propagate(edges, inc, r: int, open: int, chosen: int, pending: list):
     closed at r (d == r) or closed at 0 (d == 0 and fewer than r undecided
     edges).  Closing a vertex excludes all of its undecided edges at once;
     an active vertex with no slack includes all of its undecided edges.
+
+    An active vertex v with slack, of degree dv and undecided edges u,
+    asks the dominance rule of each w that lies on all of u; such a w lies
+    on the lowest edge of u, so only that edge's vertices are tried, each
+    with one test u & ~inc[w] == 0.  With dw the degree of w: dv < dw is a
+    conflict, and dv == dw excludes every undecided edge of w that avoids
+    v.  Proof: in any completion S, v ends at degree r, so w is covered too
+    (v gains r - dv >= 1 edges of u, all through w) and ends at r.  So
+    |S & u| = r - dv and |S & uw| = r - dw, with uw = inc[w] & open.  As u
+    lies inside uw, dv < dw is impossible and dv == dw forces
+    S & uw = S & u.  Only popped vertices ask, so a pair is missed when w
+    gained degree and v was left alone; the rule then prunes less, never
+    wrongly.
+
     Every vertex a change touches is pushed.  Returns the new (open,
     chosen), or None on a conflict: an active vertex that can no longer
-    reach r, or an edge to include through a vertex already at r."""
+    reach r, an edge to include through a vertex already at r, or a
+    dominated vertex of lower degree."""
     n = len(inc)
-    while pending:
-        v = pending.pop()
-        x = inc[v]
-        dv = (x & chosen).bit_count()
-        u = x & open
-        rem = u.bit_count()
-        if dv >= r or (dv == 0 and rem < r):
-            if u:
-                # Walking u's edges costs a step per edge and per vertex
-                # of it, scanning every vertex a step per vertex; below
-                # n/4 edges the walk is the cheaper one.
-                vs = (range(n) if 4 * rem >= n
-                      else dict.fromkeys(w for e in vertices_of(u) for w in edges[e]))
-                open ^= u
-                pending.extend(w for w in vs if inc[w] & u)
-            continue
-        if dv == 0:
-            continue
-        need = r - dv
-        if rem < need:
-            return None
-        if rem == need:
-            for e in vertices_of(u):
-                for w in edges[e]:
-                    if (inc[w] & chosen).bit_count() >= r:
-                        return None
-                open ^= 1 << e
-                chosen |= 1 << e
-                pending.extend(edges[e])
-    return open, chosen
-
-
-def _subsumed(actives: list[tuple[int, int]]) -> bool:
-    """Whether some active vertex u (degree, undecided mask) has a lower
-    degree than an active w that all of u's undecided edges pass through:
-    each edge u gains raises w too, so w would pass r before u reaches it.
-    A pair of equal degrees never prunes, so when all active vertices share
-    one degree (always at r = 2) there is nothing to compare."""
-    if len({d for d, _ in actives}) < 2:
-        return False
-    for du, uu in actives:
-        for dw, uw in actives:
-            if du < dw and uu & ~uw == 0:
-                return True
-    return False
+    dominated = 0
+    while True:
+        if pending:
+            v = pending.pop()
+            x = inc[v]
+            dv = (x & chosen).bit_count()
+            u = x & open
+            rem = u.bit_count()
+            if 1 <= dv < r:
+                need = r - dv
+                if rem < need:
+                    return None
+                if rem == need:
+                    for e in vertices_of(u):
+                        for w in edges[e]:
+                            if (inc[w] & chosen).bit_count() >= r:
+                                return None
+                        open ^= 1 << e
+                        chosen |= 1 << e
+                        pending.extend(edges[e])
+                    continue
+                for w in edges[(u & -u).bit_length() - 1]:
+                    y = inc[w]
+                    if w != v and not u & ~y:
+                        dw = (y & chosen).bit_count()
+                        if dw > dv:
+                            return None
+                        if dw == dv:
+                            dominated |= y & open & ~u
+                continue
+            if dv == 0 and rem >= r:
+                continue
+            # Closed, at r or at 0: u is excluded below.
+        elif dominated:
+            # The dominance rule's exclusions wait until the other rules run
+            # dry and then go in one mask update (on a star, each vertex of
+            # an included edge excludes most of the edges).  One that was
+            # included in the meantime leaves no completion.
+            if dominated & chosen:
+                return None
+            u = dominated & open
+            rem = u.bit_count()
+            dominated = 0
+        else:
+            return open, chosen
+        if u:
+            # Walking u's edges costs a step per edge and per vertex of it,
+            # scanning every vertex a step per vertex; below n/4 edges the
+            # walk is the cheaper one.
+            vs = (range(n) if 4 * rem >= n
+                  else dict.fromkeys(w for e in vertices_of(u) for w in edges[e]))
+            open ^= u
+            pending.extend(w for w in vs if inc[w] & u)
 
 
 def _search(edges, inc, family: int, r: int, max_nodes: int | None,
@@ -154,8 +181,8 @@ def _search(edges, inc, family: int, r: int, max_nodes: int | None,
     """Include-first DFS over the undecided edges in index order, as a loop
     over a stack with one (include, open, chosen) frame per decision on the
     current path.  A node is one decision; `_spent` is asked before each.
-    Something chosen and no active vertex is FOUND; below the root, a
-    `_subsumed` state is a dead end.  `forced` pre-includes one edge (used
+    Something chosen and no active vertex is FOUND; the test stops at the
+    first active vertex.  `forced` pre-includes one edge (used
     by the extremal module, where the rest of the family is already known
     free), which can complete a subgraph before any node.
 
@@ -176,13 +203,10 @@ def _search(edges, inc, family: int, r: int, max_nodes: int | None,
     while True:
         if state is not None:
             open, chosen = state
-            actives = [(d, x & open) for x in inc if 1 <= (d := (x & chosen).bit_count()) < r]
-            if chosen and not actives:
+            if chosen and not any(1 <= (x & chosen).bit_count() < r for x in inc):
                 found = vertices_of(chosen)
                 covered = tuple(sorted({v for e in found for v in edges[e]}))
                 return SolveResult(SolveStatus.FOUND, Certificate(r, found, covered), nodes)
-            if stack and _subsumed(actives):
-                state = None
         if state is None or not open:
             # Backtrack to the deepest decision whose exclude branch is still open.
             while stack:

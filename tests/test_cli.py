@@ -370,6 +370,14 @@ def test_table_example_b_refuses_k_below_2(capsys):
     assert "k >= 2, got k=1" in err
 
 
+def test_table_example_b_refuses_c_below_2(capsys):
+    code, stdout, err = invoke(capsys, "table", "--claim", "example-b",
+                               "--k", "3", "--c", "-1", "--n-max", "4")
+    assert code == 2
+    assert stdout == ""
+    assert "c >= 2, got c=-1" in err
+
+
 def test_table_text_is_aligned(capsys):
     code, stdout, _ = invoke(capsys, "table", "--claim", "star-extremal",
                              "--k", "3", "--r", "2", "--n-max", "5")

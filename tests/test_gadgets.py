@@ -211,6 +211,8 @@ def test_example_b_preconditions():
         example_b(7, 3, 1)
     with pytest.raises(ValueError):
         example_b(3, 3, 2)
+    with pytest.raises(ValueError, match="c >= 2, got c=1"):
+        example_b_free_threshold(3, 1)
 
 
 def test_example_b_threshold_needs_k_at_least_2():

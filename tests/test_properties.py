@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import regular_subset
 from regulus.errors import ParseError
+from regulus.gadgets import bes_layer_star, full_star
 from regulus.hypercore import Hypergraph, parse, serialize
 from regulus.regdetect import (
     SolverBudget,
@@ -64,6 +65,39 @@ def test_find_regular_agrees_with_the_oracles(h, r, max_nodes):
 
     assert find_regular(h, r) == full
     assert find_regular(h, r, budget) == budgeted
+
+
+# Full stars and layered stars, the hosts where the dominance rule fires:
+# a star's center lies on every edge of each other vertex.
+STARS = [(n, 2) for n in range(3, 13)] + [(n, 3) for n in range(4, 9)] + [(5, 4), (6, 4), (7, 4)]
+LAYERED = [(5, 3, 4), (6, 3, 4), (7, 3, 4), (6, 3, 5), (7, 3, 5), (6, 4, 3), (7, 4, 3)]
+
+
+@st.composite
+def starred_hosts(draw) -> Hypergraph:
+    """A full star or a layered star, with its vertices relabelled, plus 0
+    to 4 extra edges of its size that it lacks; at most 25 edges."""
+    if draw(st.booleans()):
+        n, k = draw(st.sampled_from(STARS))
+        base = full_star(n, k)[0]
+    else:
+        n, k, r = draw(st.sampled_from(LAYERED))
+        base = bes_layer_star(n, k, r, draw(st.integers(0, 3)))[0]
+    have = set(base.edges)
+    pool = [e for e in combinations(range(n), k) if e not in have]
+    extra = draw(st.lists(st.sampled_from(pool), max_size=min(4, 25 - len(have)), unique=True))
+    perm = draw(st.permutations(range(n)))
+    return Hypergraph(n, [[perm[v] for v in e] for e in base.edges + tuple(extra)])
+
+
+@settings(max_examples=150)
+@given(starred_hosts(), st.integers(2, 4))
+def test_find_regular_agrees_with_the_oracle_on_stars(h, r):
+    oracle = brute_force_regular(h, r)
+    res = find_regular(h, r)
+    assert res.status is (SolveStatus.NONE_EXISTS if oracle is None else SolveStatus.FOUND)
+    if oracle is not None:
+        assert verify_certificate(h, res.certificate) == (True, "ok")
 
 
 @settings(max_examples=200)

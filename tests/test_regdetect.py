@@ -172,24 +172,27 @@ def test_budget_exhaustion_is_distinct():
 
 
 def test_search_order_is_pinned():
-    # First certificates and node counts in include-first colex order, as
-    # the recursive search gave them; the loop that replaced it keeps them.
-    # The last five are hosts where one closure excludes many edges at once
+    # First certificates in include-first colex order, the same since the
+    # recursive search, and node counts.
+    # The last six are hosts where one closure excludes many edges at once
     # (a star center, a vertex of a complete host), so those counts also
     # pin that propagation reaches the same fixpoint whatever its order.
+    # The free hosts' counts pin the dominance rule: a star at r = 2 fails
+    # each include at depth 1, so it is proved free in about 2m nodes.
     cu25 = complete_uniform(25, 4)
     cases = [
         (FANO, 3, None, SolveStatus.FOUND, 1, tuple(range(7))),
         (complete_uniform(7, 3), 2, None, SolveStatus.FOUND, 8, (0, 1, 18, 19)),
         (star_plus(9, 3, 3)[0], 3, None, SolveStatus.FOUND, 3, (0, 1, 2, 3)),
         (complete_uniform(7, 3), 2, 50, SolveStatus.FOUND, 8, (0, 1, 18, 19)),
-        (full_star(10, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 588, None),
+        (full_star(10, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 56, None),
         (cu25, 2, None, SolveStatus.FOUND, 18,
          (0, 1, 34, 125, 329, 714, 1364, 2379, 3875, 5984, 10624, 10625)),
         (cu25, 4, None, SolveStatus.FOUND, 5, (0, 1, 2, 3, 4)),
         (example_b(9, 3, 2)[0], 9, None, SolveStatus.NONE_EXISTS, 25668, None),
-        (full_star(16, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 6916, None),
-        (bes_layer_star(8, 4, 3, 0)[0], 3, None, SolveStatus.NONE_EXISTS, 3394, None),
+        (full_star(16, 3)[0], 2, None, SolveStatus.NONE_EXISTS, 182, None),
+        (bes_layer_star(8, 4, 3, 0)[0], 3, None, SolveStatus.NONE_EXISTS, 1618, None),
+        (full_star(25, 4)[0], 2, None, SolveStatus.NONE_EXISTS, 4004, None),
     ]
     for h, r, max_nodes, status, nodes, edge_indices in cases:
         res = find_regular(h, r, SolverBudget(max_nodes=max_nodes))
@@ -225,9 +228,11 @@ def test_sparse_closures_walk_their_edges():
 
 
 def test_deadline_is_checked_at_every_node():
-    h, _ = full_star(25, 4)
+    # Example B above its threshold is free and takes the search seconds
+    # (a full star, proved free in about 2m nodes, ends near 50 ms).
+    h, _ = example_b(10, 3, 2)
     start = time.monotonic()
-    res = find_regular(h, 2, SolverBudget(max_millis=50))
+    res = find_regular(h, 9, SolverBudget(max_millis=50))
     assert res.status is SolveStatus.BUDGET_EXHAUSTED
     assert time.monotonic() - start < 1.0
 
