@@ -22,7 +22,7 @@ from math import comb
 from .errors import GuardError
 from .hypercore import Hypergraph, mask_of, vertices_of
 from .regdetect import SolverBudget, SolveStatus, find_regular
-from .regdetect import _check_r, _limits, _search, _spent
+from .regdetect import _check_r, _limits, _search, _sizes_fit, _spent
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,9 @@ def extremal_search(
     Including edge e in a free family F is decided by the true verdict on
     F + e, reached by the first of four checks that decides it.  F + e is
     free if F is a subset of free_with[e], the last family found free with
-    e (it starts empty: one edge alone is free for r >= 2).  F + e is not
+    e (it starts empty: one edge alone is free for r >= 2; or, when the
+    count k|S| = r|V(S)| leaves no room for an r-regular S among the C(n, k)
+    k-sets, it starts at the universe, and no inner solve runs).  F + e is not
     free if some certificate found through e, minus e, is a subset of F:
     bit j of reg_in[e][t] says that the j-th such certificate holds slot t,
     so OR-ing reg_in[e][t] over the certificates' slots outside F leaves
@@ -175,7 +177,9 @@ def extremal_search(
     # free_in[e][t] says that the j-th family found free with e holds slot
     # t, and bit j of reg_in[e][t] that the j-th certificate found through
     # e (minus e) does; reg_union[e] is the union of those certificates.
-    free_with = [0] * total
+    # When the sizes of no r-regular subgraph fit the whole universe, every
+    # family is free, and free_with starts at the universe.
+    free_with = [0 if _sizes_fit(n, k, r, total) else (1 << total) - 1] * total
     free_in = [[0] * total for _ in range(total)]
     free_count = [0] * total
     reg_in = [[0] * total for _ in range(total)]

@@ -2,7 +2,10 @@
 
 An r-regular subgraph of H is a nonempty set S of distinct edges such that
 every vertex covered by S is covered exactly r times (and vertices outside
-the covered set are untouched).  find_regular runs _search, a propagating
+the covered set are untouched).  Such an S with k-sets for edges has
+k|S| = r|V(S)|, and find_regular first asks this count of a k-uniform host
+(_sizes_fit): when no pair of sizes fits the host, it is free and nothing
+is searched.  Otherwise find_regular runs _search, a propagating
 DFS over edges in colex order whose whole state is two edge masks held in
 locals, `open` (the undecided edges) and `chosen` (the included ones): a
 vertex's degree and undecided edges are its incidence mask ANDed with
@@ -11,9 +14,8 @@ all of its undecided edges with one mask update.  A dominance rule prunes
 and excludes: when every undecided edge of an active vertex u passes
 through w, w gains whatever u gains, so w must not outrank u in degree,
 and at equal degrees w takes no edge that avoids u (see _propagate).  It
-proves a full star free in O(m) nodes.  brute_force_regular is
-the independent oracle that enumerates all nonempty edge subsets in
-ascending subset-mask order.
+proves a full star free in O(m) nodes.  NONE_EXISTS is reported only when
+absence is proved: by the size count or by a complete search.
 
 One budget rule serves this search and extremal_search: a node budget N
 visits at most N nodes and reports exactly N when it runs out, and
@@ -25,8 +27,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 
-from .errors import GuardError, ParseError
+from .errors import ParseError
 from .hypercore import Hypergraph, degree_vector, vertices_of
 
 
@@ -92,6 +95,30 @@ def _spent(nodes: int, max_nodes: int | None, deadline: float | None) -> bool:
     visited only while fewer than max_nodes have been and the deadline has
     not passed, so a node budget N visits at most N nodes."""
     return nodes == max_nodes or (deadline is not None and time.monotonic() > deadline)
+
+
+def _sizes_fit(n: int, k: int, r: int, m: int) -> bool:
+    """Whether the sizes of an r-regular subgraph with k-sets (k >= 1) for
+    edges fit n vertices and m edges.  Such an S has k|S| = r|V(S)|, so with
+    g = gcd(k, r), |V(S)| = (k/g)j and |S| = (r/g)j for some j >= 1, and
+    |V(S)| <= n, |S| <= m and |S| <= C(|V(S)|, k).  As C(x, k)/x =
+    C(x-1, k-1)/k does not fall as x grows, if some j fits then so does the
+    largest j the first two bounds allow, and only that one is tried."""
+    g = gcd(k, r)
+    a, b = k // g, r // g
+    j = min(n // a, m // b)
+    if j < 1 or a * j < k:
+        return False
+    x, t = a * j, b * j
+    # C(x, i) rises for i up to the nearer of k and x - k, and C(x, k)
+    # equals C(x, x - k), so the count stops once it reaches t: within
+    # about log2(t) steps, where C(x, k) itself can have 10^5 digits.
+    c = 1
+    for i in range(min(k, x - k)):
+        if c >= t:
+            break
+        c = c * (x - i) // (i + 1)
+    return c >= t
 
 
 def _propagate(edges, inc, r: int, open: int, chosen: int, pending: list):
@@ -233,62 +260,22 @@ def find_regular(h: Hypergraph, r: int, budget: SolverBudget | None = None) -> S
 
     FOUND comes with a certificate (the first solution in search order:
     include-first DFS over edges in colex order).  NONE_EXISTS is reported
-    only when the search completed.  BUDGET_EXHAUSTED reports the node
-    count reached: exactly max_nodes when the node budget ran out.  Reruns
-    with the same node budget are identical.  The max_millis clock starts
-    after the set-up, when the search does.
+    only when absence is proved: by the size count or by a complete search.
+    A k-uniform host (k >= 1) whose sizes admit no r-regular subgraph
+    (_sizes_fit) answers NONE_EXISTS in 0 nodes, under any budget.
+    BUDGET_EXHAUSTED reports the node count reached: exactly max_nodes when
+    the node budget ran out.  Reruns with the same node budget are
+    identical.  The max_millis clock starts after the set-up, when the
+    search does.
     """
     _check_r(r)
-    return _search(h.edges, h.vertex_incidence, (1 << len(h.edges)) - 1, r, *_limits(budget))
-
-
-def brute_force_regular(h: Hypergraph, r: int) -> Certificate | None:
-    """Oracle: scan all nonempty edge subsets in ascending subset-mask order
-    and return the first r-regular one.  Guarded to |E| <= 25.  The only
-    user of numpy, imported on first call."""
-    import numpy as np
-
-    _check_r(r)
-    m = len(h.edges)
-    if m > 25:
-        raise GuardError(f"brute_force_regular is limited to 25 edges, got {m}")
-    if m == 0:
-        return None
-    n = h.n
-    inc = np.zeros((m, n), dtype=np.uint8)
-    for i, e in enumerate(h.edges):
-        for v in e:
-            inc[i, v] = 1
-    low_bits = min(m, 18)
-    table = np.zeros((1 << low_bits, n), dtype=np.uint8)
-    for i in range(low_bits):
-        table[1 << i: 2 << i] = table[: 1 << i] + inc[i]
-    rv = np.uint8(r)
-    for high in range(1 << (m - low_bits)):
-        if high == 0:
-            degs = table
-        else:
-            base = np.zeros(n, dtype=np.uint8)
-            hh = high
-            j = 0
-            while hh:
-                if hh & 1:
-                    base += inc[low_bits + j]
-                hh >>= 1
-                j += 1
-            degs = table + base
-        ok = ((degs == 0) | (degs == rv)).all(axis=1)
-        if high == 0:
-            ok[0] = False
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            subset = (high << low_bits) | int(hits[0])
-            indices = vertices_of(subset)
-            cov = 0
-            for i in indices:
-                cov |= h.edge_masks[i]
-            return Certificate(r=r, edge_indices=indices, covered=vertices_of(cov))
-    return None
+    edges, m = h.edges, len(h.edges)
+    # The count runs with the first edge's size, and only when it fires is
+    # the host checked to be uniform, a pass over all the edges.  A first
+    # edge `()` skips it: {()} is itself regular.
+    if m and edges[0] and not _sizes_fit(h.n, len(edges[0]), r, m) and h.uniformity:
+        return SolveResult(SolveStatus.NONE_EXISTS, None, 0)
+    return _search(edges, h.vertex_incidence, (1 << m) - 1, r, *_limits(budget))
 
 
 def verify_certificate(h: Hypergraph, cert: Certificate) -> tuple[bool, str]:

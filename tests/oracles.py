@@ -2,12 +2,59 @@
 
 Everything here is deliberately naive: plain loops over itertools
 enumerations, frozensets instead of bitmasks, no pruning.  Slow but
-obviously correct, and sharing no code with the package under test.
+obviously correct, and sharing no code with the package under test.  The
+one vectorized oracle, brute_force_regular, scans subsets with numpy (the
+tests' only use of it) and returns the package's Certificate type, so that
+its answer compares with the solver's directly.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from regulus.errors import GuardError
+from regulus.regdetect import Certificate
+
+
+def brute_force_regular(h, r):
+    """First r-regular subgraph of h in ascending subset-mask order, as a
+    Certificate, or None: every nonempty edge subset is scanned, with the
+    degree vectors of the subsets of the low 18 edges tabulated once.
+    Guarded to 25 edges."""
+    import numpy as np
+
+    if not isinstance(r, int) or r < 2:
+        raise ValueError(f"r must be an integer >= 2, got {r!r}")
+    m = len(h.edges)
+    if m > 25:
+        raise GuardError(f"brute_force_regular is limited to 25 edges, got {m}")
+    if m == 0:
+        return None
+    n = h.n
+    inc = np.zeros((m, n), dtype=np.uint8)
+    for i, e in enumerate(h.edges):
+        for v in e:
+            inc[i, v] = 1
+    low_bits = min(m, 18)
+    table = np.zeros((1 << low_bits, n), dtype=np.uint8)
+    for i in range(low_bits):
+        table[1 << i: 2 << i] = table[: 1 << i] + inc[i]
+    for high in range(1 << (m - low_bits)):
+        base = np.zeros(n, dtype=np.uint8)
+        for j in range(m - low_bits):
+            if (high >> j) & 1:
+                base += inc[low_bits + j]
+        degs = table + base
+        ok = ((degs == 0) | (degs == r)).all(axis=1)
+        if high == 0:
+            ok[0] = False
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            subset = (high << low_bits) | int(hits[0])
+            indices = tuple(i for i in range(m) if (subset >> i) & 1)
+            covered = sorted({v for i in indices for v in h.edges[i]})
+            return Certificate(r=r, edge_indices=indices, covered=tuple(covered))
+    return None
 
 
 def regular_subset(edges, n, r):

@@ -15,6 +15,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from oracles import (
+    brute_force_regular,
     complement_pairing,
     min_hitting_by_scan,
     sunflower_exists,
@@ -43,7 +44,6 @@ from regulus.patterns import (
 )
 from regulus.regdetect import (
     SolveStatus,
-    brute_force_regular,
     find_regular,
     verify_certificate,
 )

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from oracles import extremal_by_enumeration, extremal_tree, min_cover_by_scan, wedge_total
+from regulus import extremal
 from regulus.errors import GuardError
 from regulus.gadgets import full_star, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform
@@ -151,14 +152,35 @@ def test_budget_interrupts_search():
 
 
 def test_deadline_reaches_the_inner_solves():
-    # at r = 5 the inner solves dominate: the deadline must stop them too,
+    # at r = 6 the inner solves dominate: the deadline must stop them too,
     # and a solve cut short must not let its edge in as free
     start = time.monotonic()
-    rep = extremal_search(7, 4, 5, budget=SolverBudget(max_millis=100))
+    rep = extremal_search(7, 4, 6, budget=SolverBudget(max_millis=100))
     assert time.monotonic() - start < 2.0
     assert not rep.complete
     assert rep.optimum >= comb(6, 3)
-    assert find_regular(rep.witness, 5).status is SolveStatus.NONE_EXISTS
+    assert find_regular(rep.witness, 6).status is SolveStatus.NONE_EXISTS
+
+
+def test_size_count_decides_every_inclusion(monkeypatch):
+    # An r-regular S among the 4-sets of 7 vertices has 4|S| = 3|V(S)|:
+    # 3 edges on 4 vertices, or 8 vertices.  Neither fits, so every family
+    # is free, the first path takes all 35 4-sets, and no inner solve runs.
+    calls = []
+    solve = extremal._search
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(extremal, "_search", counted)
+    rep = extremal_search(7, 4, 3)
+    assert (rep.optimum, rep.complete, rep.nodes) == (35, True, 71)
+    assert rep.witness == complete_uniform(7, 4)
+    assert calls == []
+    # where the sizes fit, the solves run through the counted name
+    extremal_search(5, 3, 3)
+    assert calls
 
 
 def test_matches_enumeration_oracle():

@@ -8,14 +8,14 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import regular_subset
+from oracles import brute_force_regular, regular_subset
 from regulus.errors import ParseError
 from regulus.gadgets import bes_layer_star, full_star
 from regulus.hypercore import Hypergraph, parse, serialize
 from regulus.regdetect import (
     SolverBudget,
     SolveStatus,
-    brute_force_regular,
+    _sizes_fit,
     find_regular,
     parse_certificate,
     verify_certificate,
@@ -98,6 +98,30 @@ def test_find_regular_agrees_with_the_oracle_on_stars(h, r):
     assert res.status is (SolveStatus.NONE_EXISTS if oracle is None else SolveStatus.FOUND)
     if oracle is not None:
         assert verify_certificate(h, res.certificate) == (True, "ok")
+
+
+@st.composite
+def uniform_hosts(draw) -> Hypergraph:
+    """At most 25 distinct k-sets, 1 <= k <= 4, on n <= 8 vertices.  With r
+    from 2 to 5 the sizes fit some hosts and not others: 1-sets never fit,
+    and at k = 4, r = 3 a host needs 8 vertices and 6 edges."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    pool = list(combinations(range(n), k))
+    top = min(25, len(pool))
+    m = top - draw(st.integers(0, top))
+    return Hypergraph(n, draw(st.permutations(pool))[:m])
+
+
+@settings(max_examples=200)
+@given(uniform_hosts(), st.integers(2, 5))
+def test_size_count_agrees_with_the_oracle(h, r):
+    oracle = brute_force_regular(h, r)
+    res = find_regular(h, r)
+    assert res.status is (SolveStatus.NONE_EXISTS if oracle is None else SolveStatus.FOUND)
+    if h.edges and not _sizes_fit(h.n, len(h.edges[0]), r, len(h.edges)):
+        assert oracle is None
+        assert res.nodes == 0
 
 
 @settings(max_examples=200)

@@ -3,19 +3,21 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import comb, gcd
 
 import pytest
 
-from oracles import regular_subset
-from regulus.errors import GuardError, ParseError
+from oracles import brute_force_regular, regular_subset
+from regulus.errors import ParseError
 from regulus.extremal import extremal_search
 from regulus.gadgets import bes_layer_star, example_b, full_star, gadget_h, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform, degree_vector, vertices_of
 from regulus.regdetect import (
     Certificate,
+    SolveResult,
     SolverBudget,
     SolveStatus,
-    brute_force_regular,
+    _sizes_fit,
     find_regular,
     parse_certificate,
     serialize_certificate,
@@ -63,7 +65,7 @@ def test_empty_hypergraph():
 def test_r_must_be_at_least_two():
     h = Hypergraph(3, [(0, 1, 2)])
     for bad in (0, 1, -2, 2.0):
-        for call in (lambda: find_regular(h, bad), lambda: brute_force_regular(h, bad),
+        for call in (lambda: find_regular(h, bad),
                      lambda: extremal_search(4, 3, bad), lambda: star_plus(8, 3, bad),
                      lambda: bes_layer_star(9, 4, bad, 0)):
             with pytest.raises(ValueError, match=f"r must be an integer >= 2, got {bad!r}"):
@@ -119,18 +121,6 @@ def test_agrees_with_oracle_on_random_instances():
                 assert verify_certificate(h, res.certificate) == (True, "ok")
             elif res.status is SolveStatus.NONE_EXISTS:
                 assert want is None
-
-
-def test_brute_force_matches_naive_scan():
-    rng = random.Random(5)
-    for _ in range(60):
-        h = random_instance(rng, n_max=7, m_max=10)
-        r = rng.choice((2, 3))
-        cert = brute_force_regular(h, r)
-        want = regular_subset(h.edges, h.n, r)
-        assert (cert is None) == (want is None)
-        if cert is not None:
-            assert verify_certificate(h, cert) == (True, "ok")
 
 
 def test_monotonicity_under_edge_addition():
@@ -202,6 +192,35 @@ def test_search_order_is_pinned():
     assert extremal_search(5, 3, 2).nodes == 21
 
 
+def test_size_count_proves_absence_before_any_node():
+    # At k = 4, r = 3, j = 1 needs 3 edges on 4 vertices, which have one
+    # 4-set, and j = 2 needs 8 vertices: C(7,4) is free at r = 3 by
+    # counting alone, under any budget, while {()} is still regular.
+    h = complete_uniform(7, 4)
+    for budget in (None, SolverBudget(max_nodes=1)):
+        assert find_regular(h, 3, budget) == SolveResult(SolveStatus.NONE_EXISTS, None, 0)
+    res = find_regular(Hypergraph(3, [()]), 3)
+    assert (res.status, res.nodes, res.certificate.edge_indices) == (SolveStatus.FOUND, 1, (0,))
+    # The first edge's size fails the count (2 edges on 3 vertices), but
+    # the host is not uniform, so the search runs and finds the triangle.
+    mixed = Hypergraph(5, [(0, 1, 2), (2, 3), (2, 4), (3, 4)])
+    res = find_regular(mixed, 2)
+    assert res.status is SolveStatus.FOUND and res.certificate.edge_indices == (1, 2, 3)
+
+
+def test_size_count_tries_only_the_largest_multiple():
+    # Some j >= 1 puts (k/g)j vertices and (r/g)j edges within the bounds
+    # iff the largest j allowed by n and m does.
+    for n in range(0, 13):
+        for k in range(1, 7):
+            for r in range(2, 8):
+                for m in range(0, 40):
+                    a, b = k // gcd(k, r), r // gcd(k, r)
+                    naive = any(b * j <= min(m, comb(a * j, k))
+                                for j in range(1, n // a + 1))
+                    assert _sizes_fit(n, k, r, m) == naive, (n, k, r, m)
+
+
 def test_wide_host_ends_on_its_node_budget():
     # 1081 edges, more than the interpreter's default recursion limit
     res = find_regular(full_star(48, 3)[0], 2, SolverBudget(max_nodes=2000))
@@ -266,13 +285,6 @@ def test_even_r_certificate_covers_all_gadget_vertices():
     res = find_regular(h, 2)
     assert res.status is SolveStatus.FOUND
     assert res.certificate.covered == tuple(range(8))
-
-
-def test_brute_force_guard():
-    h = complete_uniform(8, 3)
-    assert len(h.edges) > 25
-    with pytest.raises(GuardError):
-        brute_force_regular(h, 2)
 
 
 def test_verify_rejects_tampered_certificates():
