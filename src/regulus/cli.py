@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import comb
 from pathlib import Path
 
 from .errors import GuardError, ParseError
-from .extremal import classify_3sets, count_wedges, extremal_search
+from .extremal import CLAIMS, claim_table, classify_3sets, count_wedges, extremal_search
 from .gadgets import (
     bes_layer_star,
     example_a,
     example_b,
-    example_b_free_threshold,
     full_star,
     gadget_h,
     gadget_h_prime,
@@ -38,8 +36,6 @@ from .regdetect import (
     serialize_certificate,
     verify_certificate,
 )
-
-_CLAIMS = ("mv-conjecture", "star-extremal", "example-b")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--v", type=int, required=True)
 
     t = command("table", _cmd_table, "desk-scale claim tables")
-    t.add_argument("--claim", required=True, choices=_CLAIMS)
-    t.add_argument("--k", type=int)
-    t.add_argument("--r", type=int)
-    t.add_argument("--c", type=int)
+    t.add_argument("--claim", required=True, choices=CLAIMS)
+    t.add_argument("--k", type=int, default=3)
+    t.add_argument("--r", type=int, default=2)
+    t.add_argument("--c", type=int, default=2)
     t.add_argument("--n-max", type=int)
     return parser
 
@@ -182,7 +178,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     else:
         print({SolveStatus.FOUND: f"FOUND {size} edges",
                SolveStatus.BUDGET_EXHAUSTED: f"BUDGET EXHAUSTED after {res.nodes} nodes",
-               SolveStatus.NONE_EXISTS: "NONE (search complete)"}[res.status])
+               SolveStatus.NONE_EXISTS: "NONE (proved)"}[res.status])
     if cert and args.certificate:
         Path(args.certificate).write_text(serialize_certificate(cert), encoding="ascii")
     return {SolveStatus.FOUND: 0, SolveStatus.BUDGET_EXHAUSTED: 3,
@@ -291,58 +287,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def emit_table(claim: str, params: dict) -> tuple[tuple[str, ...], list[tuple]]:
-    """Rows for one desk-scale claim table; every row names its method
-    (exhaustive | solver)."""
-    if claim == "mv-conjecture":
-        k = params.get("k", 3)
-        r = params.get("r", 2)
-        n_max = params["n_max"]
-        header = ("n", "k", "r", "conjectured", "optimum", "match", "method")
-        rows = []
-        for n in range(k + 1, n_max + 1):
-            rep = extremal_search(n, k, r)
-            conj = comb(n - 1, k - 1) + (n - 1) // k
-            rows.append((n, k, r, conj, rep.optimum,
-                         int(rep.optimum == conj), "exhaustive"))
-        return header, rows
-    if claim == "star-extremal":
-        k = params.get("k", 3)
-        r = params.get("r", 2)
-        n_max = params["n_max"]
-        header = ("n", "k", "r", "edges", "free", "method")
-        rows = []
-        for n in range(k + 1, n_max + 1):
-            h, _ = full_star(n, k)
-            res = find_regular(h, r)
-            rows.append((n, k, r, len(h.edges),
-                         int(res.status is SolveStatus.NONE_EXISTS), "solver"))
-        return header, rows
-    if claim == "example-b":
-        k = params.get("k", 3)
-        c = params.get("c", 2)
-        n_max = params["n_max"]
-        r = example_b_free_threshold(k, c) + 1
-        header = ("n", "k", "c", "edges", "r", "free", "method")
-        rows = []
-        for n in range(c + k - 1, n_max + 1):
-            h, _ = example_b(n, k, c)
-            res = find_regular(h, r)
-            rows.append((n, k, c, len(h.edges), r,
-                         int(res.status is SolveStatus.NONE_EXISTS), "solver"))
-        return header, rows
-    raise ValueError(f"unknown claim {claim!r}")
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
-    params: dict = {}
-    for name in ("k", "r", "c", "n_max"):
-        val = getattr(args, name)
-        if val is not None:
-            params[name] = val
-    if "n_max" not in params:
+    if args.n_max is None:
         raise ValueError("--n-max is required for this claim")
-    header, rows = emit_table(args.claim, params)
+    header, rows = claim_table(args.claim, args.n_max, args.k, args.r, args.c)
     if args.format == "csv":
         print(",".join(header))
         for row in rows:

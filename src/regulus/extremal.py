@@ -1,4 +1,5 @@
-"""Exhaustive extremal-value search, wedge counting, and related checks.
+"""Exhaustive extremal-value search, the claim tables built on it, wedge
+counting, and related checks.
 
 extremal_search computes ex(n, k, r): the maximum number of edges of an
 n-vertex k-uniform hypergraph with no r-regular subgraph, by include-first
@@ -20,6 +21,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .errors import GuardError
+from .gadgets import example_b, example_b_free_threshold, full_star
 from .hypercore import Hypergraph, mask_of, vertices_of
 from .regdetect import SolverBudget, SolveStatus, find_regular
 from .regdetect import _check_r, _limits, _search, _sizes_fit, _spent
@@ -64,58 +66,6 @@ def _comb0(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return comb(a, b)
-
-
-def min_set_cover(num_elements: int, sets: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum set cover over bitmask sets; branch on the lowest
-    uncovered element, bound by remaining/max-set-size.  Returns the size and
-    the first optimal selection found (ascending indices)."""
-    full = (1 << num_elements) - 1
-    if full == 0:
-        return 0, ()
-    union = 0
-    for s in sets:
-        union |= s
-    if union & full != full:
-        raise ValueError("the sets do not cover all elements")
-    containing: list[list[int]] = [[] for _ in range(num_elements)]
-    for i, s in enumerate(sets):
-        for e in vertices_of(s & full):
-            containing[e].append(i)
-    max_size = max((s & full).bit_count() for s in sets)
-
-    # greedy upper bound seeds the incumbent
-    covered, greedy = 0, []
-    while covered != full:
-        best_i = min(
-            range(len(sets)),
-            key=lambda i: (-(sets[i] & ~covered & full).bit_count(), i),
-        )
-        greedy.append(best_i)
-        covered |= sets[best_i]
-    best_size = len(greedy)
-    best_sets = tuple(sorted(greedy))
-
-    chosen: list[int] = []
-
-    def dfs(covered: int) -> None:
-        nonlocal best_size, best_sets
-        if covered == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_sets = tuple(sorted(chosen))
-            return
-        uncov = (~covered & full).bit_count()
-        if len(chosen) + -(-uncov // max_size) >= best_size:
-            return
-        e = ((~covered & full) & -(~covered & full)).bit_length() - 1
-        for i in containing[e]:
-            chosen.append(i)
-            dfs(covered | sets[i])
-            chosen.pop()
-
-    dfs(0)
-    return best_size, best_sets
 
 
 def extremal_search(
@@ -281,6 +231,44 @@ def extremal_search(
         n=n, k=k, r=r, optimum=best.bit_count(), witness=witness,
         complete=complete, nodes=nodes, elapsed_ms=elapsed_ms,
     )
+
+
+CLAIMS = ("mv-conjecture", "star-extremal", "example-b")
+
+
+def claim_table(claim: str, n_max: int, k: int = 3, r: int = 2,
+                c: int = 2) -> tuple[tuple[str, ...], list[tuple]]:
+    """Header and rows of one desk-scale claim table for n up to n_max;
+    every row names its method (exhaustive | solver)."""
+    if claim == "mv-conjecture":
+        header = ("n", "k", "r", "conjectured", "optimum", "match", "method")
+        rows = []
+        for n in range(k + 1, n_max + 1):
+            rep = extremal_search(n, k, r)
+            conj = comb(n - 1, k - 1) + (n - 1) // k
+            rows.append((n, k, r, conj, rep.optimum,
+                         int(rep.optimum == conj), "exhaustive"))
+        return header, rows
+    if claim == "star-extremal":
+        header = ("n", "k", "r", "edges", "free", "method")
+        rows = []
+        for n in range(k + 1, n_max + 1):
+            h, _ = full_star(n, k)
+            res = find_regular(h, r)
+            rows.append((n, k, r, len(h.edges),
+                         int(res.status is SolveStatus.NONE_EXISTS), "solver"))
+        return header, rows
+    if claim == "example-b":
+        r = example_b_free_threshold(k, c) + 1
+        header = ("n", "k", "c", "edges", "r", "free", "method")
+        rows = []
+        for n in range(c + k - 1, n_max + 1):
+            h, _ = example_b(n, k, c)
+            res = find_regular(h, r)
+            rows.append((n, k, c, len(h.edges), r,
+                         int(res.status is SolveStatus.NONE_EXISTS), "solver"))
+        return header, rows
+    raise ValueError(f"unknown claim {claim!r}")
 
 
 def count_wedges(h: Hypergraph, v: int, r: int) -> WedgeCount:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import ParseError
 
@@ -39,6 +39,33 @@ def vertices_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _incidence(n: int, sets: Collection[Iterable[int]]) -> tuple[int, ...]:
+    """Per-vertex bitmask over the indices of `sets`, a sequence of vertex
+    collections in [0, n): bit i of entry v is set iff sets[i] contains v."""
+    # One little-endian byte row per vertex: setting a bit in place
+    # is O(1), where `inc[v] |= bit` copies a growing int.
+    rows = [bytearray((len(sets) + 7) >> 3) for _ in range(n)]
+    for i, e in enumerate(sets):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for v in e:
+            rows[v][byte] |= bit
+    return tuple(int.from_bytes(row, "little") for row in rows)
+
+
+def _first_fit(masks: Iterable[int], target: int | None = None) -> list[int]:
+    """Positions of a first-fit matching of `masks` in the order given,
+    stopping once it holds `target` sets."""
+    used = 0
+    out: list[int] = []
+    for i, m in enumerate(masks):
+        if len(out) == target:
+            break
+        if m & used == 0:
+            out.append(i)
+            used |= m
+    return out
 
 
 class _EdgeError(ValueError):
@@ -124,14 +151,7 @@ class Hypergraph:
     def vertex_incidence(self) -> tuple[int, ...]:
         """Per-vertex bitmask over edge indices (bit i set iff edge i contains v)."""
         if self._incidence is None:
-            # One little-endian byte row per vertex: setting a bit in place
-            # is O(1), where `inc[v] |= bit` copies a growing int.
-            rows = [bytearray((len(self._edges) + 7) >> 3) for _ in range(self._n)]
-            for i, e in enumerate(self._edges):
-                byte, bit = i >> 3, 1 << (i & 7)
-                for v in e:
-                    rows[v][byte] |= bit
-            self._incidence = tuple(int.from_bytes(row, "little") for row in rows)
+            self._incidence = _incidence(self._n, self._edges)
         return self._incidence
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
@@ -290,15 +310,7 @@ def greedy_matching(h: Hypergraph, target: int | None = None) -> list[int]:
     """
     if target is not None and target < 0:
         raise ValueError("target must be nonnegative")
-    used = 0
-    out: list[int] = []
-    for i, m in enumerate(h.edge_masks):
-        if target is not None and len(out) >= target:
-            break
-        if m & used == 0:
-            out.append(i)
-            used |= m
-    return out
+    return _first_fit(h.edge_masks, target)
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:

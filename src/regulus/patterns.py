@@ -2,7 +2,8 @@
 
 Covers sunflowers (greedy recursion plus guarded exhaustive fallback),
 disjoint edge pairs with equal unions, embedded copies of the two-part /
-four-part selection gadgets, and hitting families for equipartitions.
+four-part selection gadgets, and hitting families for equipartitions, sized
+by an exact set cover.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import GuardError
-from .extremal import min_set_cover
 from .gadgets import _selection_edges
-from .hypercore import Hypergraph, mask_of, vertices_of
+from .hypercore import Hypergraph, _first_fit, _incidence, mask_of, vertices_of
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,9 @@ class EmbeddedCopy:
 
 def _greedy_masks(masks: list[int], p: int) -> tuple[tuple[int, ...], int] | None:
     """Erdős–Rado recursion on raw edge masks; returns (petals, core mask)."""
-    matching = []
-    used = 0
-    for i, msk in enumerate(masks):
-        if msk & used == 0:
-            matching.append(i)
-            if len(matching) == p:
-                return tuple(matching), 0
-            used |= msk
+    matching = _first_fit(masks, p)
+    if len(matching) == p:
+        return tuple(matching), 0
     # matching too small: recurse on the link of a globally max-degree vertex
     deg: dict[int, int] = {}
     for msk in masks:
@@ -196,26 +191,15 @@ def _pair_candidates(n: int, masks: list[int], need: int):
     decreasing-size order (ties by vertex pair), each with the intersection's
     edge masks.  Per-vertex bitmaps over the distinct (k-1)-subedges make the
     pair counting one AND + popcount per pair."""
-    fidx: dict[int, int] = {}
+    # Each (k-1)-subedge f -> the vertices v with f + v an edge.  Two f may
+    # share that vertex list, so these rows are not a Hypergraph's edges.
+    links: dict[int, list[int]] = {}
     for msk in masks:
         for v in vertices_of(msk):
-            f = msk ^ (1 << v)
-            if f not in fidx:
-                fidx[f] = len(fidx)
-    fmasks = [0] * len(fidx)
-    for f, i in fidx.items():
-        fmasks[i] = f
-    nbytes = (len(fidx) + 7) // 8 or 1
-    raw: dict[int, bytearray] = {}
-    for msk in masks:
-        for v in vertices_of(msk):
-            i = fidx[msk ^ (1 << v)]
-            arr = raw.get(v)
-            if arr is None:
-                arr = raw[v] = bytearray(nbytes)
-            arr[i >> 3] |= 1 << (i & 7)
-    bits = {v: int.from_bytes(bytes(arr), "little") for v, arr in raw.items()}
-    verts = sorted(bits)
+            links.setdefault(msk ^ (1 << v), []).append(v)
+    fmasks = list(links)
+    bits = _incidence(n, links.values())
+    verts = [v for v in range(n) if bits[v]]
     ranked = []
     for ai in range(len(verts)):
         for bi in range(ai + 1, len(verts)):
@@ -367,6 +351,58 @@ def check_equipartition_hitting(k: int, r: int, family) -> bool:
             raise ValueError(f"family member {s} does not have size {kp}")
         parts.add(t)
     return all(any(p in parts for p in eq) for eq in equipartitions(k, r))
+
+
+def min_set_cover(num_elements: int, sets: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Exact minimum set cover over bitmask sets; branch on the lowest
+    uncovered element, bound by remaining/max-set-size.  Returns the size and
+    the first optimal selection found (ascending indices)."""
+    full = (1 << num_elements) - 1
+    if full == 0:
+        return 0, ()
+    union = 0
+    for s in sets:
+        union |= s
+    if union & full != full:
+        raise ValueError("the sets do not cover all elements")
+    containing: list[list[int]] = [[] for _ in range(num_elements)]
+    for i, s in enumerate(sets):
+        for e in vertices_of(s & full):
+            containing[e].append(i)
+    max_size = max((s & full).bit_count() for s in sets)
+
+    # greedy upper bound seeds the incumbent
+    covered, greedy = 0, []
+    while covered != full:
+        best_i = min(
+            range(len(sets)),
+            key=lambda i: (-(sets[i] & ~covered & full).bit_count(), i),
+        )
+        greedy.append(best_i)
+        covered |= sets[best_i]
+    best_size = len(greedy)
+    best_sets = tuple(sorted(greedy))
+
+    chosen: list[int] = []
+
+    def dfs(covered: int) -> None:
+        nonlocal best_size, best_sets
+        if covered == full:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_sets = tuple(sorted(chosen))
+            return
+        uncov = (~covered & full).bit_count()
+        if len(chosen) + -(-uncov // max_size) >= best_size:
+            return
+        e = ((~covered & full) & -(~covered & full)).bit_length() - 1
+        for i in containing[e]:
+            chosen.append(i)
+            dfs(covered | sets[i])
+            chosen.pop()
+
+    dfs(0)
+    return best_size, best_sets
 
 
 def min_equipartition_hitting_size(k: int, r: int) -> int:

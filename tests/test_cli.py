@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from regulus.cli import emit_table, run
+from regulus.cli import run
 from regulus.gadgets import full_star, star_plus
-from regulus.hypercore import parse, read_hypergraph, serialize, write_hypergraph
+from regulus.hypercore import complete_uniform, parse, read_hypergraph, serialize, write_hypergraph
 from regulus.regdetect import parse_certificate, verify_certificate
 
 FANO_TEXT = "7 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
@@ -86,10 +86,17 @@ def test_detect_none_on_star(tmp_path, capsys):
     write_hypergraph(full_star(6, 3)[0], str(path))
     code, stdout, _ = invoke(capsys, "detect", "--input", str(path), "--r", "2")
     assert code == 0
-    assert stdout == "NONE (search complete)\n"
+    assert stdout == "NONE (proved)\n"
     code, _, _ = invoke(capsys, "detect", "--input", str(path), "--r", "2",
                         "--expect-found")
     assert code == 1
+    # The size count proves this host free before any node is searched.
+    write_hypergraph(complete_uniform(7, 4), str(path))
+    code, stdout, _ = invoke(capsys, "detect", "--input", str(path), "--r", "3")
+    assert (code, stdout) == (0, "NONE (proved)\n")
+    code, stdout, _ = invoke(capsys, "detect", "--input", str(path), "--r", "3",
+                             "--format", "csv")
+    assert stdout == "status,edges,nodes\nnone,0,0\n"
 
 
 def test_detect_fano_with_certificate(tmp_path, capsys):
@@ -148,13 +155,13 @@ def test_detect_env_budget_and_flag_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REGULUS_MAX_MILLIS", "1")
     code, stdout, _ = invoke(capsys, "detect", "--input", str(path), "--r", "2")
     assert code == 0
-    assert stdout == "NONE (search complete)\n"
+    assert stdout == "NONE (proved)\n"
     small = tmp_path / "small.hg"
     write_hypergraph(full_star(6, 3)[0], str(small))
     code, stdout, _ = invoke(capsys, "detect", "--input", str(small), "--r", "2",
                              "--max-millis", "60000")
     assert code == 0
-    assert stdout == "NONE (search complete)\n"
+    assert stdout == "NONE (proved)\n"
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):
@@ -391,11 +398,6 @@ def test_table_requires_n_max(capsys):
     code, _, err = invoke(capsys, "table", "--claim", "mv-conjecture", "--k", "3")
     assert code == 2
     assert "--n-max is required" in err
-
-
-def test_emit_table_rejects_unknown_claim():
-    with pytest.raises(ValueError):
-        emit_table("nonsense", {})
 
 
 def test_usage_errors(tmp_path, capsys):

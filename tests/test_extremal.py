@@ -7,18 +7,19 @@ from math import comb
 
 import pytest
 
-from oracles import extremal_by_enumeration, extremal_tree, min_cover_by_scan, wedge_total
+from oracles import extremal_by_enumeration, extremal_tree, wedge_total
 from regulus import extremal
 from regulus.errors import GuardError
 from regulus.gadgets import full_star, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform
 from regulus.regdetect import SolverBudget, SolveStatus, find_regular
 from regulus.extremal import (
+    CLAIMS,
+    claim_table,
     classify_3sets,
     count_wedges,
     extremal_search,
     is_linear,
-    min_set_cover,
 )
 
 FANO = Hypergraph(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6),
@@ -199,34 +200,10 @@ def test_matches_enumeration_oracle():
                 assert find_regular(cut.witness, r).status is SolveStatus.NONE_EXISTS
 
 
-def test_min_set_cover_small():
-    # elements 0..3; sets {0,1}, {2}, {3}, {1,2,3}
-    size, chosen = min_set_cover(4, [0b0011, 0b0100, 0b1000, 0b1110])
-    assert size == 2
-    assert chosen == (0, 3)
-
-
-def test_min_set_cover_requires_coverage():
-    with pytest.raises(ValueError):
-        min_set_cover(3, [0b011])
-
-
-def test_min_set_cover_matches_scan():
-    rng = random.Random(17)
-    for _ in range(60):
-        ne = rng.randint(1, 8)
-        sets = [rng.randint(1, (1 << ne) - 1) for _ in range(rng.randint(1, 9))]
-        want = min_cover_by_scan(ne, sets)
-        if want is None:
-            with pytest.raises(ValueError):
-                min_set_cover(ne, sets)
-        else:
-            size, chosen = min_set_cover(ne, sets)
-            assert size == want
-            union = 0
-            for i in chosen:
-                union |= sets[i]
-            assert union == (1 << ne) - 1
+def test_claim_table_rejects_unknown_claim():
+    assert "nonsense" not in CLAIMS
+    with pytest.raises(ValueError, match="unknown claim 'nonsense'"):
+        claim_table("nonsense", 5)
 
 
 def test_wedges_zero_at_star_center():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -86,6 +87,18 @@ def test_star_plus_certificate_rejects_wrong_host():
     h, _ = full_star(8, 3)
     with pytest.raises(ValueError):
         star_plus_certificate(h, 3)
+
+
+def test_star_plus_certificate_names_each_refusal():
+    for h, r, reason in (
+        (star_plus(8, 3, 3)[0], 2, "certificate needs a k-uniform host with r | k"),
+        (full_star(8, 3)[0], 3, "host lacks the canonical extra edge {1..k}"),
+        (Hypergraph(5, [(1, 2, 3, 4)]), 2, "host too small for the analytic witness"),
+        (Hypergraph(6, [(1, 2, 3, 4)]), 2, "witness edge (0, 3, 4, 5) missing from host"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            star_plus_certificate(h, r)
+        assert str(exc.value) == reason
 
 
 def test_gadget_h_layout():
@@ -309,6 +322,22 @@ def test_layer_star_verifier_rejects_tampering():
                             center=desc.center, stationary_parts=desc.stationary_parts)
     ok, reason = verify_bes_layer_star(h, bad_params)
     assert not ok
+
+
+def test_layer_star_verifier_names_each_broken_premise():
+    h, desc = bes_layer_star(9, 4, 3, seed=0)
+    star, _ = full_star(9, 4)
+    # three layer edges {2,3,v} + y span 5 <= 2k - 2 vertices
+    dense_layer = Hypergraph(9, list(star.edges) + [(1, 2, 3, v) for v in (4, 5, 6)])
+    no_d = {key: val for key, val in desc.params.items() if key != "d"}
+    for host, params, reason in (
+        (h, no_d, "missing param 'd'"),
+        (h, {**desc.params, "n": 10}, "host does not match params"),
+        (h, {**desc.params, "r": 2, "d": 2, "k_prime": 2, "r_prime": 1},
+         "divisibility preconditions violated"),
+        (dense_layer, desc.params, "3 layer edges span at most 6 vertices"),
+    ):
+        assert verify_bes_layer_star(host, replace(desc, params=params)) == (False, reason)
 
 
 def test_descriptor_parts_disjoint_from_pairs():

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
-from oracles import min_hitting_by_scan, sunflower_exists
+from oracles import min_cover_by_scan, min_hitting_by_scan, sunflower_exists
 from regulus.errors import GuardError
 from regulus.gadgets import full_star, gadget_h, gadget_h_prime
 from regulus.hypercore import Hypergraph, complete_uniform
@@ -21,6 +22,7 @@ from regulus.patterns import (
     find_sunflower,
     greedy_sunflower,
     min_equipartition_hitting_size,
+    min_set_cover,
     sunflower_free_family,
     verify_embedded_copy,
     verify_same_union,
@@ -129,6 +131,11 @@ def test_verify_same_union_rejects_bad_quads():
     assert verify_same_union(h, SameUnionQuad(0, 3, 1, 1))[0] is False
     assert verify_same_union(h, SameUnionQuad(0, 1, 2, 3))[0] is False
     assert verify_same_union(h, SameUnionQuad(0, 3, 9, 2))[0] is False
+
+
+def test_verify_same_union_rejects_differing_unions():
+    h = Hypergraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert verify_same_union(h, SameUnionQuad(0, 1, 2, 3)) == (False, "unions differ")
 
 
 def test_same_union_quads_always_verify():
@@ -253,6 +260,29 @@ def test_verify_embedded_copy_rejects_tampering():
     assert verify_embedded_copy(h, wrong_l)[0] is False
 
 
+def test_verify_embedded_copy_names_each_broken_shape():
+    h, _ = gadget_h(3, 1)
+    copy = find_gadget_copy(h, 3, 1)
+    for tampered, reason in (
+        (replace(copy, stationary_parts=((0,), (2, 3))), "stationary part has wrong size"),
+        (replace(copy, dynamic_pairs=((4, 4),)), "dynamic pair vertices collide"),
+        (replace(copy, dynamic_pairs=((3, 5),)), "dynamic pair vertices collide"),
+        (replace(copy, stationary_parts=((0, 1), (2, 4)), dynamic_pairs=((3, 5),)),
+         "template edge (0, 1, 3) missing from host"),
+    ):
+        assert verify_embedded_copy(h, tampered) == (False, reason)
+    hp, _ = gadget_h_prime(4, 1)
+    copy = find_gadget_copy(hp, 4, 1, prime=True)
+    p0, p1, p2, _p3 = copy.stationary_parts
+    for parts, reason in (
+        ((p0, p1), "expected 4 stationary parts"),
+        ((p0, p1, p2, p2), "last two parts intersect"),
+        ((p0, p1, p2, (0, 4, 5)), "part unions differ"),
+        ((p0, p1, p0, p1), "parts not distinct"),
+    ):
+        assert verify_embedded_copy(hp, replace(copy, stationary_parts=parts)) == (False, reason)
+
+
 def test_equipartition_counts():
     assert len(list(equipartitions(4, 2))) == 3
     assert len(list(equipartitions(6, 2))) == 10
@@ -331,3 +361,33 @@ def test_min_hitting_lower_bound_over_all_divisors():
 def test_min_hitting_guard():
     with pytest.raises(GuardError):
         min_equipartition_hitting_size(10, 2)
+
+
+def test_min_set_cover_small():
+    # elements 0..3; sets {0,1}, {2}, {3}, {1,2,3}
+    size, chosen = min_set_cover(4, [0b0011, 0b0100, 0b1000, 0b1110])
+    assert size == 2
+    assert chosen == (0, 3)
+
+
+def test_min_set_cover_requires_coverage():
+    with pytest.raises(ValueError):
+        min_set_cover(3, [0b011])
+
+
+def test_min_set_cover_matches_scan():
+    rng = random.Random(17)
+    for _ in range(60):
+        ne = rng.randint(1, 8)
+        sets = [rng.randint(1, (1 << ne) - 1) for _ in range(rng.randint(1, 9))]
+        want = min_cover_by_scan(ne, sets)
+        if want is None:
+            with pytest.raises(ValueError):
+                min_set_cover(ne, sets)
+        else:
+            size, chosen = min_set_cover(ne, sets)
+            assert size == want
+            union = 0
+            for i in chosen:
+                union |= sets[i]
+            assert union == (1 << ne) - 1

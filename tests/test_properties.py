@@ -1,15 +1,23 @@
-"""Property-based tests: the solver against both oracles, and the text
-formats' parsers on drawn input."""
+"""Property-based tests: the solver against both oracles, the text
+formats' parsers on drawn input, and the command line on drawn argv and
+files."""
 
 from __future__ import annotations
 
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_regular, regular_subset
+from regulus.cli import run
 from regulus.errors import ParseError
+from regulus.extremal import CLAIMS
 from regulus.gadgets import bes_layer_star, full_star
 from regulus.hypercore import Hypergraph, parse, serialize
 from regulus.regdetect import (
@@ -158,3 +166,102 @@ def test_parsers_raise_only_parse_error(text):
             parser(text)
         except ParseError:
             pass
+
+
+# Option values stay small: n and --n-max <= 6, k and r <= 4 for generate,
+# so that every drawn command, search included, ends in well under a second.
+# Half of the numbers are drawn from -1 up, so some are out of range.
+def small(lo: int, hi: int) -> st.SearchStrategy[int]:
+    return st.integers(lo, hi) | st.integers(-1, hi)
+
+
+FORMAT = st.sampled_from(("text", "csv") * 3 + ("xml",))
+# Paths are relative to a fresh working directory: mostly the drawn input
+# files, else a file that a command writes, a missing file or a directory.
+PATH = st.sampled_from(("in.hg",) * 6 + ("in.cert", "out.hg", "missing.hg", "."))
+CERT = st.sampled_from(("in.cert",) * 6 + ("in.hg", "out.cert", "missing.cert", "."))
+# Per command, the options it is always given (all that some run of it
+# reads, for generate) and the others, with value strategies (None for a
+# switch).
+OPTIONS = {
+    "generate": ({"--kind": st.sampled_from(("star", "star-plus", "hkl", "hkl-prime", "example-a",
+                                             "example-b", "bes-layer-star", "c64")),
+                  "--n": small(1, 6), "--k": small(1, 4), "--r": small(2, 4), "--l": small(0, 4),
+                  "--c": small(2, 4), "--variant": st.sampled_from(("r-eq-k", "r-eq-k-plus-1")),
+                  "--out": PATH},
+                 {"--seed": small(0, 6)}),
+    "detect": ({"--input": PATH, "--r": small(2, 6)},
+               {"--max-nodes": small(1, 1000), "--max-millis": small(1, 50),
+                "--certificate": CERT, "--expect-found": None, "--format": FORMAT}),
+    "verify": ({"--input": PATH, "--certificate": CERT}, {"--format": FORMAT}),
+    "find": ({"--pattern": st.sampled_from(("sunflower", "same-union", "gadget")), "--input": PATH,
+              "--p": small(2, 6), "--k": small(1, 4), "--l": small(0, 3)},
+             {"--prime": None, "--out": PATH, "--expect-found": None, "--format": FORMAT}),
+    "search": ({"--n": small(1, 6), "--k": small(1, 4), "--r": small(2, 6)},
+               {"--max-nodes": small(1, 1000), "--max-millis": small(1, 50),
+                "--isomorph-reject": None, "--out": PATH, "--format": FORMAT}),
+    "wedges": ({"--input": PATH, "--v": small(0, 6), "--r": small(1, 4)}, {"--format": FORMAT}),
+    "classify": ({"--input": PATH, "--v": small(0, 6)}, {"--format": FORMAT}),
+    "table": ({"--claim": st.sampled_from(CLAIMS * 2 + ("sunflower-bounds",)),
+               "--n-max": small(1, 6)},
+              {"--k": small(1, 4), "--r": small(2, 4), "--c": small(2, 4), "--format": FORMAT}),
+}
+# Stray tokens, none with a path separator, so a stray --out stays put.
+STRAY = st.one_of(st.sampled_from(("--help", "--", "-1", "--n-max=3", "frobnicate")),
+                  st.text(st.characters(exclude_characters="/\\\x00"), max_size=6))
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command with its required options and some others, with drawn
+    values, in any order and possibly repeated; now and then one required
+    option is dropped or a stray token or two is put anywhere."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    required, optional = OPTIONS[command]
+    options = {**required, **optional}
+    flags = list(required) + draw(st.lists(st.sampled_from(sorted(options)), max_size=4))
+    if draw(st.integers(0, 7)) == 0:
+        flags.pop(draw(st.integers(0, len(required) - 1)))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(str(draw(options[flag])))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(STRAY))
+    return argv
+
+
+def host_text(h: Hypergraph) -> str:
+    return f"{h.n} {len(h.edges)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in h.edges)
+
+
+HOST = st.one_of(hosts().map(host_text),
+                 st.sampled_from((host_text(full_star(6, 3)[0]), host_text(full_star(7, 5)[0]))))
+CERTIFICATE = st.builds("{} {}\n{}\n{}\n".format, small(2, 4), small(0, 5),
+                        st.lists(st.integers(-1, 12), max_size=5).map(lambda xs: " ".join(map(str, xs))),
+                        st.lists(st.integers(-1, 9), max_size=5).map(lambda xs: " ".join(map(str, xs))))
+GARBAGE = st.one_of(texts(INTS + JUNK, header=True), st.text(max_size=40))
+
+
+def encoded(text: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
+    return text.map(lambda t: t.encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=500)
+@given(argvs(),
+       st.one_of(encoded(HOST), encoded(HOST), encoded(GARBAGE), st.binary(max_size=40)),
+       st.one_of(encoded(CERTIFICATE), encoded(GARBAGE), st.binary(max_size=40)))
+@example(["detect", "--input", "in.hg", "--r", "2"], "\u00e9".encode(), b"")
+def test_cli_exits_with_a_known_code(argv, hg, cert):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "in.hg").write_bytes(hg)
+        Path(tmp, "in.cert").write_bytes(cert)
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run(argv)
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2, 3)
