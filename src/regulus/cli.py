@@ -149,9 +149,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         h, desc = star_plus(args.n, args.k, args.r)
     elif kind in ("hkl", "hkl-prime"):
         _require(args, "l")
-        if args.n is not None and args.n != 2 * args.k:
-            raise ValueError(f"this gadget lives on 2k = {2 * args.k} vertices, got --n {args.n}")
+        # The gadget checks k and l itself before --n is held against 2k.
         h, desc = (gadget_h if kind == "hkl" else gadget_h_prime)(args.k, args.l)
+        if args.n is not None and args.n != h.n:
+            raise ValueError(f"this gadget lives on 2k = {h.n} vertices, got --n {args.n}")
     elif kind == "example-a":
         _require(args, "n", "variant")
         h, desc = example_a(args.n, args.k, args.variant)

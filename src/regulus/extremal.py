@@ -5,7 +5,9 @@ extremal_search computes ex(n, k, r): the maximum number of edges of an
 n-vertex k-uniform hypergraph with no r-regular subgraph, by include-first
 depth-first search over the complete k-set universe in colex order, pruning
 with an incremental solver call (adding an edge to a regular-free set can
-only create regular subgraphs through that edge) and a remaining-slots bound.
+only create regular subgraphs through that edge), a remaining-slots bound,
+and a vertex-deletion bound from ex(n - 1, k, r), which the same call
+finds first, level by level.
 A subfamily of a free family is free, so whether F + e is free is monotone
 in F; each candidate edge remembers every family found free with it and
 every regular subfamily found through it, indexed by slot so that a lookup
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb
 
 from .errors import GuardError
@@ -76,38 +78,59 @@ def extremal_search(
     isomorph_reject: bool = False,
 ) -> SearchReport:
     """Exact ex(n, k, r) over the full C(n, k) universe (guarded to 64
-    candidate edges).  The incumbent starts at the full star on vertex 0,
-    C(n-1, k-1) edges, which is free for every r >= 2: an r-regular S in it
-    gives the center degree |S| = r, so every covered vertex lies in all r
-    edges and they coincide.  With a budget the search may stop early,
-    returning the best family seen (a leaf larger than the star, or the
-    star) and complete=False.  The budget follows the solver's rule: a node
-    budget N visits at most N outer nodes (nodes is then N), and max_millis
-    is checked at every outer node and inside every inner solve, whose
-    running out also ends the search.  The witness's freeness re-check
-    always runs to the end.
+    candidate edges), found level by level: ex(m, k, r) for m = k, ..., n,
+    each level bounding the next.  In colex order the k-sets of [m] are the
+    first C(m, k) slots of the universe, so level m is an include-first DFS
+    over that prefix.  Its incumbent starts at the full star on vertex 0 of
+    [m], C(m-1, k-1) edges, which is free for every r >= 2: an r-regular S
+    in it gives the center degree |S| = r, so every covered vertex lies in
+    all r edges and they coincide.
+
+    Vertex-deletion bound.  A level m < n where the count k|S| = r|V(S)|
+    leaves no room for an r-regular S among the C(m, k) k-sets has ex =
+    C(m, k) and is not searched; every other level below n runs to the end
+    and passes its optimum E = ex(m, k, r) up.  Level m + 1 then prunes a
+    node when floor(sum over v of min(E, a_v) / (m + 1 - k)) <= best, with
+    a_v the chosen or undecided slots that avoid v.  Proof: each edge of a
+    free family F avoids m + 1 - k vertices, and F - v is a free family on
+    m vertices inside those a_v slots, so (m + 1 - k)|F| = sum |F - v| <=
+    sum min(E, a_v).  The sum is only taken where it can prune more than
+    the remaining-slots count: it equals (m + 1 - k)|alive| minus an excess
+    of at most (m + 1)(C(m, k) - E).  An included child has its parent's
+    alive set and inherits its value; an excluded child computes its own.
+
+    nodes counts the outer nodes of every level.  With a budget the search
+    may stop early with complete=False.  The budget follows the solver's
+    rule across the whole chain: a node budget N visits at most N outer
+    nodes in all (nodes is then N), and max_millis is one deadline, checked
+    at every outer node and inside every inner solve, whose running out also
+    ends the search.  Stopped at level n, the search returns the best family
+    seen there (a leaf larger than the star, or the star); stopped below n,
+    the star on vertex 0 of [n].  The witness's freeness re-check runs once,
+    at the top, and always to the end.
 
     Including edge e in a free family F is decided by the true verdict on
     F + e, reached by the first of four checks that decides it.  F + e is
     free if F is a subset of free_with[e], the last family found free with
     e (it starts empty: one edge alone is free for r >= 2; or, when the
-    count k|S| = r|V(S)| leaves no room for an r-regular S among the C(n, k)
-    k-sets, it starts at the universe, and no inner solve runs).  F + e is not
-    free if some certificate found through e, minus e, is a subset of F:
-    bit j of reg_in[e][t] says that the j-th such certificate holds slot t,
-    so OR-ing reg_in[e][t] over the certificates' slots outside F leaves
+    count leaves no room for an r-regular S among the C(n, k) k-sets, it
+    starts at the universe, and no inner solve runs).  F + e is not free if
+    some certificate found through e, minus e, is a subset of F: bit j of
+    reg_in[e][t] says that the j-th such certificate holds slot t, so
+    OR-ing reg_in[e][t] over the certificates' slots outside F leaves
     exactly the bits of the certificates inside F clear.  F + e is free if
     some family found free with e holds F: free_in[e][t] is indexed the
     same way, and the AND of free_in[e][t] over the slots t of F keeps the
     bits of the families that hold all of F.  Otherwise an inner solve with
-    e forced decides, and its answer is stored.  The memos skip solves
+    e forced decides, and its answer is stored.  Verdicts on families hold
+    at every level, so all levels share the memos.  The memos skip solves
     without changing any decision, so the tree, the witness and the node
     count do not depend on them.
 
-    With isomorph_reject, a state (slot, chosen) with slot < 8 is pruned
-    when an isomorphic one was visited: its key is the least pair of slot
-    masks (chosen, excluded) over the vertex permutations, each applied as
-    the slot permutation it induces."""
+    With isomorph_reject, a state (slot, chosen) of level m with slot < 8 is
+    pruned when an isomorphic one was visited at that level: its key is the
+    least pair of slot masks (chosen, excluded) over the permutations of
+    [m], each applied as the slot permutation it induces."""
     _check_r(r)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -135,92 +158,125 @@ def extremal_search(
     reg_in = [[0] * total for _ in range(total)]
     reg_count = [0] * total
     reg_union = [0] * total
-    best = sum(1 << s for s, e in enumerate(edges) if e[0] == 0)
     nodes = 0
-    seen_states: set = set()
-    # Each vertex permutation as the images of the slots canon reads; the
-    # key of a state is the least (chosen, excluded) mask pair over them.
-    slot_perms = list(dict.fromkeys(
-        tuple(1 << universe.mask_index[mask_of(pi[v] for v in e)] for e in edges[:8])
-        for pi in permutations(range(n)))) if isomorph_reject else []
+    complete = True
+    slot_perms: list = []
 
     def canon(chosen: int, slot: int):
         cs = vertices_of(chosen)
         xs = vertices_of(~chosen & ((1 << slot) - 1))
         return slot, min((sum(b[s] for s in cs), sum(b[s] for s in xs)) for b in slot_perms)
 
-    # Include-first DFS; a node's excluded child is pushed below its
-    # included one, so it is visited after the whole included subtree.
-    stack: list[tuple[int, int]] = [(0, 0)]
-    complete = True
-    while stack:
-        if _spent(nodes, max_nodes, deadline):
-            complete = False
+    # below is ex(m - 1, k, r) from the complete level under level m; at
+    # the first level it is C(m - 1, k) = 0, and the bound is never taken.
+    below = 0
+    for m in range(min(k, n), n + 1):
+        size = comb(m, k)
+        if m < n and not _sizes_fit(m, k, r, size):
+            below = size
+            continue
+        prefix = (1 << size) - 1
+        best = inc[0] & prefix  # the star on vertex 0 of [m]
+        # The bound is count minus ceil(excess / lag), and the excess is at
+        # most m (C(m - 1, k) - below), so it can prune only where count
+        # exceeds the incumbent by at most reach.
+        lag = m - k
+        excess = m * (comb(m - 1, k) - below)
+        reach = -(-excess // lag) if excess else 0
+        avoid = [prefix & ~inc[v] for v in range(m)]
+        if isomorph_reject:
+            seen_states: set = set()
+            # Each permutation of [m] as the images of the slots canon reads.
+            slot_perms = list(dict.fromkeys(
+                tuple(1 << universe.mask_index[mask_of(pi[v] for v in e)]
+                      for e in edges[:min(8, size)])
+                for pi in permutations(range(m))))
+        # Include-first DFS over (slot, chosen, bound) frames, the bound None
+        # until taken; a node's excluded child is pushed below its included
+        # one, so it is visited after the whole included subtree.
+        stack: list[tuple[int, int, int | None]] = [(0, 0, None)]
+        while stack:
+            if _spent(nodes, max_nodes, deadline):
+                complete = False
+                break
+            nodes += 1
+            slot, chosen, bound = stack.pop()
+            if slot == size:
+                if chosen.bit_count() > best.bit_count():
+                    best = chosen
+                continue
+            incumbent = best.bit_count()
+            count = chosen.bit_count() + size - slot
+            if count <= incumbent:
+                continue
+            if count - incumbent <= reach:
+                if bound is None:
+                    alive = chosen | prefix >> slot << slot
+                    bound = sum(map(min, repeat(below),
+                                    map(int.bit_count, map(alive.__and__, avoid)))) // lag
+                if bound <= incumbent:
+                    continue
+            if isomorph_reject and slot < 8:
+                key = canon(chosen, slot)
+                if key in seen_states:
+                    continue
+                seen_states.add(key)
+            stack.append((slot + 1, chosen, None))
+            bit = 1 << slot
+            family = chosen | bit
+            if chosen & ~free_with[slot] == 0:
+                stack.append((slot + 1, family, bound))
+                continue
+            # A certificate lies inside chosen iff none of its slots is outside.
+            count = reg_count[slot]
+            if count:
+                row, full, hit = reg_in[slot], (1 << count) - 1, 0
+                mask = reg_union[slot] & ~chosen
+                while mask:
+                    low = mask & -mask
+                    hit |= row[low.bit_length() - 1]
+                    if hit == full:
+                        break
+                    mask ^= low
+                if hit != full:
+                    continue
+            # A stored free family holds chosen iff it holds each of its slots.
+            count = free_count[slot]
+            if count:
+                row, hit = free_in[slot], (1 << count) - 1
+                mask = chosen
+                while mask:
+                    low = mask & -mask
+                    hit &= row[low.bit_length() - 1]
+                    if not hit:
+                        break
+                    mask ^= low
+                if hit:
+                    stack.append((slot + 1, family, bound))
+                    continue
+            res = _search(edges, inc, family, r, None, deadline, slot)
+            if res.status is SolveStatus.BUDGET_EXHAUSTED:
+                complete = False
+                break
+            if res.status is SolveStatus.FOUND:
+                cert = mask_of(res.certificate.edge_indices) & ~bit
+                row, j = reg_in[slot], 1 << reg_count[slot]
+                for t in vertices_of(cert):
+                    row[t] |= j
+                reg_count[slot] += 1
+                reg_union[slot] |= cert
+            else:
+                free_with[slot] = chosen
+                row, j = free_in[slot], 1 << free_count[slot]
+                for t in vertices_of(chosen):
+                    row[t] |= j
+                free_count[slot] += 1
+                stack.append((slot + 1, family, bound))
+        if not complete:
+            if m < n:
+                best = inc[0]  # the star on vertex 0 of [n]
             break
-        nodes += 1
-        slot, chosen = stack.pop()
-        if slot == total:
-            if chosen.bit_count() > best.bit_count():
-                best = chosen
-            continue
-        if chosen.bit_count() + (total - slot) <= best.bit_count():
-            continue
-        if isomorph_reject and slot < 8:
-            key = canon(chosen, slot)
-            if key in seen_states:
-                continue
-            seen_states.add(key)
-        stack.append((slot + 1, chosen))
-        bit = 1 << slot
-        family = chosen | bit
-        if chosen & ~free_with[slot] == 0:
-            stack.append((slot + 1, family))
-            continue
-        # A certificate lies inside chosen iff none of its slots is outside.
-        count = reg_count[slot]
-        if count:
-            row, full, hit = reg_in[slot], (1 << count) - 1, 0
-            m = reg_union[slot] & ~chosen
-            while m:
-                low = m & -m
-                hit |= row[low.bit_length() - 1]
-                if hit == full:
-                    break
-                m ^= low
-            if hit != full:
-                continue
-        # A stored free family holds chosen iff it holds each of its slots.
-        count = free_count[slot]
-        if count:
-            row, hit = free_in[slot], (1 << count) - 1
-            m = chosen
-            while m:
-                low = m & -m
-                hit &= row[low.bit_length() - 1]
-                if not hit:
-                    break
-                m ^= low
-            if hit:
-                stack.append((slot + 1, family))
-                continue
-        res = _search(edges, inc, family, r, None, deadline, slot)
-        if res.status is SolveStatus.BUDGET_EXHAUSTED:
-            complete = False
-            break
-        if res.status is SolveStatus.FOUND:
-            cert = mask_of(res.certificate.edge_indices) & ~bit
-            row, j = reg_in[slot], 1 << reg_count[slot]
-            for t in vertices_of(cert):
-                row[t] |= j
-            reg_count[slot] += 1
-            reg_union[slot] |= cert
-        else:
-            free_with[slot] = chosen
-            row, j = free_in[slot], 1 << free_count[slot]
-            for t in vertices_of(chosen):
-                row[t] |= j
-            free_count[slot] += 1
-            stack.append((slot + 1, family))
+        below = best.bit_count()
 
     witness = Hypergraph(n, [edges[s] for s in vertices_of(best)])
     check = find_regular(witness, r)

@@ -185,6 +185,8 @@ def example_a(n: int, k: int, variant: str) -> tuple[Hypergraph, GadgetDescripto
 
     The result has no r-regular subgraph at r = k (swap variant) or at
     r = k + 1 (add-only variant)."""
+    if k < 1:
+        raise ValueError(f"example_a needs k >= 1, got k={k}")
     if n < k + 2:
         raise ValueError(f"example_a needs n >= k + 2, got n={n}, k={k}")
     extra = tuple(range(1, k + 1))
@@ -209,6 +211,8 @@ def example_b(n: int, k: int, c: int) -> tuple[Hypergraph, GadgetDescriptor]:
     """Transversal family: every edge meets the set {0..c-1} in exactly one
     vertex; c * C(n-c, k-1) edges.  Free of r-regular subgraphs for every
     r > c * C(c(k-1), k-2)."""
+    if k < 1:
+        raise ValueError(f"example_b needs k >= 1, got k={k}")
     if c < 2:
         raise ValueError(f"example_b needs c >= 2, got c={c}")
     if n < c + k - 1:

@@ -11,6 +11,7 @@ its answer compares with the solver's directly.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from regulus.errors import GuardError
 from regulus.regdetect import Certificate
@@ -104,31 +105,52 @@ def extremal_by_enumeration(n, k, r):
 
 
 def extremal_tree(n, k, r):
-    """The outer tree of an include-first DFS for ex(n, k, r), without memos:
-    k-sets in colex order, the star on vertex 0 as the first incumbent, a
-    node pruned when its chosen count plus the slots left cannot beat the
-    incumbent, and each inclusion decided by regular_subset.  Returns
-    (optimum, nodes, witness edges in colex order).  Tiny n only."""
-    universe = sorted(combinations(range(n), k), key=lambda e: sum(1 << v for v in e))
-    total = len(universe)
-    best = [e for e in universe if e[0] == 0]
+    """The outer trees of an include-first DFS for ex(n, k, r), without
+    memos, one level m = k, ..., n at a time: level m runs over the k-sets
+    of [m] in colex order, with the star on vertex 0 of [m] as the first
+    incumbent, and each inclusion decided by regular_subset.  A level below
+    n is skipped when no r-regular family's sizes fit it (k * s == r * x
+    for no x <= m and s <= C(x, k)).  A node is pruned when its chosen
+    count plus the slots left, or floor(sum over v < m of min(E, a_v) /
+    (m - k)), cannot beat the incumbent, where E = ex(m - 1, k, r) comes
+    from extremal_by_enumeration and a_v counts the chosen or undecided
+    k-sets avoiding v.  Returns (optimum, nodes summed over the levels,
+    witness edges of level n in colex order).  Tiny n only."""
     nodes = 0
 
-    def visit(slot, chosen):
+    def level(m):
         nonlocal best, nodes
-        nodes += 1
-        if slot == total:
-            if len(chosen) > len(best):
-                best = chosen
-            return
-        if len(chosen) + total - slot <= len(best):
-            return
-        family = chosen + [universe[slot]]
-        if regular_subset(family, n, r) is None:
-            visit(slot + 1, family)
-        visit(slot + 1, chosen)
+        universe = sorted(combinations(range(m), k), key=lambda e: sum(1 << v for v in e))
+        total = len(universe)
+        best = [e for e in universe if e[0] == 0]
+        below = extremal_by_enumeration(m - 1, k, r) if m > k else None
 
-    visit(0, [])
+        def visit(slot, chosen):
+            nonlocal best, nodes
+            nodes += 1
+            if slot == total:
+                if len(chosen) > len(best):
+                    best = chosen
+                return
+            if len(chosen) + total - slot <= len(best):
+                return
+            if below is not None:
+                alive = chosen + universe[slot:]
+                deleted = sum(min(below, sum(v not in e for e in alive)) for v in range(m))
+                if deleted // (m - k) <= len(best):
+                    return
+            family = chosen + [universe[slot]]
+            if regular_subset(family, n, r) is None:
+                visit(slot + 1, family)
+            visit(slot + 1, chosen)
+
+        visit(0, [])
+
+    best = []
+    for m in range(min(k, n), n + 1):
+        fits = any(k * s == r * x for x in range(k, m + 1) for s in range(1, comb(x, k) + 1))
+        if m == n or fits:
+            level(m)
     return len(best), nodes, best
 
 

@@ -74,6 +74,18 @@ def test_generate_gadget_checks_vertex_count(tmp_path, capsys):
     assert len(read_hypergraph(str(out)).edges) == 4
 
 
+def test_generate_gadget_refuses_k_below_1(tmp_path, capsys):
+    # each construction names the k it refuses, before any vertex count
+    out = str(tmp_path / "h.hg")
+    for k in ("-1", "0"):
+        for extra in (["--kind", "example-b", "--n", "5", "--c", "2"],
+                      ["--kind", "example-a", "--n", "5", "--variant", "r-eq-k"],
+                      ["--kind", "hkl", "--l", "0", "--n", "4"]):
+            code, _, err = invoke(capsys, "generate", *extra, "--k", k, "--out", out)
+            assert code == 2, extra
+            assert "error:" in err and f"got k={k}" in err and "2k" not in err, (extra, err)
+
+
 def test_generate_missing_parameter(tmp_path, capsys):
     code, _, err = invoke(capsys, "generate", "--kind", "star-plus",
                           "--n", "8", "--k", "3", "--out", str(tmp_path / "x.hg"))

@@ -58,10 +58,11 @@ def test_six_vertices_match_star_plus_matching_pattern():
 
 def test_outer_tree_is_pinned():
     # the outer tree follows from the true freeness verdicts alone, so how
-    # a verdict is reached must not move these counts or witnesses
+    # a verdict is reached must not move these counts or witnesses; nodes
+    # sum over the levels, and ex(6,3,4) has no level below 6 to bound it
     reps = {t: extremal_search(*t) for t in ((6, 3, 3), (6, 3, 4), (7, 2, 3))}
     assert {t: (rep.complete, rep.nodes) for t, rep in reps.items()} == {
-        (6, 3, 3): (True, 95089), (6, 3, 4): (True, 86875), (7, 2, 3): (True, 185476)}
+        (6, 3, 3): (True, 45270), (6, 3, 4): (True, 86875), (7, 2, 3): (True, 28109)}
     # ex(6,3,3) = C(5,2), first reached at the star on vertex 0
     assert reps[(6, 3, 3)].witness == full_star(6, 3)[0]
     iso = extremal_search(6, 3, 2, isomorph_reject=True)
@@ -76,16 +77,31 @@ def test_isomorph_tree_is_pinned():
     reps = {t: extremal_search(*t, isomorph_reject=True)
             for t in ((6, 3, 3), (6, 3, 4), (6, 4, 4), (5, 3, 3))}
     assert {t: (rep.complete, rep.nodes) for t, rep in reps.items()} == {
-        (6, 3, 3): (True, 10677), (6, 3, 4): (True, 15057), (6, 4, 4): (True, 388),
-        (5, 3, 3): (True, 67)}
+        (6, 3, 3): (True, 5063), (6, 3, 4): (True, 15057), (6, 4, 4): (True, 276),
+        (5, 3, 3): (True, 62)}
     cut = extremal_search(7, 3, 3, budget=SolverBudget(max_nodes=20000), isomorph_reject=True)
     assert (cut.optimum, cut.complete, cut.nodes) == (15, False, 20000)
+
+
+def test_levels_share_one_budget():
+    # ex(7,2,3) searches levels 4-7 (12 + 22 + 3,250 + 24,825 nodes); a
+    # budget spent inside a level below 7 answers the star on vertex 0 of [7]
+    assert [extremal_search(m, 2, 3).nodes for m in (4, 5, 6, 7)] == [12, 34, 3284, 28109]
+    star = full_star(7, 2)[0]
+    for budget in (10, 1000):
+        rep = extremal_search(7, 2, 3, budget=SolverBudget(max_nodes=budget))
+        assert (rep.optimum, rep.complete, rep.nodes) == (6, False, budget)
+        assert rep.witness == star
+        assert find_regular(rep.witness, 3).status is SolveStatus.NONE_EXISTS
+    rep = extremal_search(7, 2, 3, budget=SolverBudget(max_nodes=20000))
+    assert (rep.optimum, rep.complete, rep.nodes) == (13, False, 20000)
 
 
 def test_matches_tree_oracle():
     # the whole outer tree, not only its optimum: the memos may skip solves
     # but never change an inclusion, so nodes and witness match a DFS that
-    # decides every inclusion by subset scan
+    # decides every inclusion by subset scan and takes each level's bound
+    # from an ex(m - 1) found by enumeration
     for n in range(1, 6):
         for k in range(1, n + 1):
             for r in (2, 3, 4, 5):

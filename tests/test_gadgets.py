@@ -203,6 +203,10 @@ def test_example_a_preconditions():
         example_a(4, 3, VARIANT_R_EQ_K)
     with pytest.raises(ValueError):
         example_a(6, 3, "bogus")
+    for k in (0, -1):
+        for variant in (VARIANT_R_EQ_K, VARIANT_R_EQ_K_PLUS_1):
+            with pytest.raises(ValueError, match=f"k >= 1, got k={k}"):
+                example_a(5, k, variant)
 
 
 def test_example_b_counts_and_transversal():
@@ -224,6 +228,9 @@ def test_example_b_preconditions():
         example_b(7, 3, 1)
     with pytest.raises(ValueError):
         example_b(3, 3, 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k >= 1, got k={k}"):
+            example_b(5, k, 2)
     with pytest.raises(ValueError, match="c >= 2, got c=1"):
         example_b_free_threshold(3, 1)
 
