@@ -18,6 +18,8 @@ from pathlib import Path
 from .errors import GuardError, ParseError
 from .extremal import CLAIMS, claim_table, classify_3sets, count_wedges, extremal_search
 from .gadgets import (
+    VARIANT_R_EQ_K,
+    VARIANT_R_EQ_K_PLUS_1,
     bes_layer_star,
     example_a,
     example_b,
@@ -52,15 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     g = command("generate", _cmd_generate, "write a named construction", parents=())
-    g.add_argument("--kind", required=True,
-                   choices=("star", "star-plus", "hkl", "hkl-prime",
-                            "example-a", "example-b", "bes-layer-star"))
+    g.add_argument("--kind", required=True, choices=_GENERATORS)
     g.add_argument("--n", type=int)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--r", type=int)
     g.add_argument("--l", type=int)
     g.add_argument("--c", type=int)
-    g.add_argument("--variant", choices=("r-eq-k", "r-eq-k-plus-1"))
+    g.add_argument("--variant", choices=(VARIANT_R_EQ_K, VARIANT_R_EQ_K_PLUS_1))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
 
@@ -139,29 +139,26 @@ def _write_descriptor(path: Path, desc) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+# Each kind's construction and the options it takes, in parameter order.
+_GENERATORS = {
+    "star": (full_star, "n", "k"),
+    "star-plus": (star_plus, "n", "k", "r"),
+    "hkl": (gadget_h, "k", "l"),
+    "hkl-prime": (gadget_h_prime, "k", "l"),
+    "example-a": (example_a, "n", "k", "variant"),
+    "example-b": (example_b, "n", "k", "c"),
+    "bes-layer-star": (bes_layer_star, "n", "k", "r", "seed"),
+}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "star":
-        _require(args, "n")
-        h, desc = full_star(args.n, args.k)
-    elif kind == "star-plus":
-        _require(args, "n", "r")
-        h, desc = star_plus(args.n, args.k, args.r)
-    elif kind in ("hkl", "hkl-prime"):
-        _require(args, "l")
-        # The gadget checks k and l itself before --n is held against 2k.
-        h, desc = (gadget_h if kind == "hkl" else gadget_h_prime)(args.k, args.l)
-        if args.n is not None and args.n != h.n:
-            raise ValueError(f"this gadget lives on 2k = {h.n} vertices, got --n {args.n}")
-    elif kind == "example-a":
-        _require(args, "n", "variant")
-        h, desc = example_a(args.n, args.k, args.variant)
-    elif kind == "example-b":
-        _require(args, "n", "c")
-        h, desc = example_b(args.n, args.k, args.c)
-    else:  # bes-layer-star
-        _require(args, "n", "r")
-        h, desc = bes_layer_star(args.n, args.k, args.r, args.seed)
+    make, *names = _GENERATORS[args.kind]
+    _require(args, *names)
+    h, desc = make(*(getattr(args, name) for name in names))
+    # Only the gadgets, which live on 2k vertices, can differ from --n; they
+    # check k and l themselves before --n is held against 2k.
+    if args.n is not None and args.n != h.n:
+        raise ValueError(f"this gadget lives on 2k = {h.n} vertices, got --n {args.n}")
     write_hypergraph(h, args.out)
     _write_descriptor(Path(args.out).with_suffix(".desc"), desc)
     print(f"wrote {args.out} ({h.n} vertices, {len(h.edges)} edges)")

@@ -86,17 +86,19 @@ def extremal_search(
     in it gives the center degree |S| = r, so every covered vertex lies in
     all r edges and they coincide.
 
-    Vertex-deletion bound.  A level m < n where the count k|S| = r|V(S)|
-    leaves no room for an r-regular S among the C(m, k) k-sets has ex =
-    C(m, k) and is not searched; every other level below n runs to the end
-    and passes its optimum E = ex(m, k, r) up.  Level m + 1 then prunes a
-    node when floor(sum over v of min(E, a_v) / (m + 1 - k)) <= best, with
-    a_v the chosen or undecided slots that avoid v.  Proof: each edge of a
-    free family F avoids m + 1 - k vertices, and F - v is a free family on
-    m vertices inside those a_v slots, so (m + 1 - k)|F| = sum |F - v| <=
-    sum min(E, a_v).  The sum is only taken where it can prune more than
-    the remaining-slots count: it equals (m + 1 - k)|alive| minus an excess
-    of at most (m + 1)(C(m, k) - E).  An included child has its parent's
+    Vertex-deletion bound.  A level m where the count k|S| = r|V(S)| leaves
+    no room for an r-regular S among the C(m, k) k-sets has ex = C(m, k),
+    its whole prefix, and visits no node, builds no permutation table and
+    asks no budget: a triple the count settles is complete in 0 nodes.
+    Every other level below n runs to the end and passes its optimum E =
+    ex(m, k, r) up.  Level m + 1 then prunes a node when floor(sum over v
+    of min(E, a_v) / (m + 1 - k)) <= best, with a_v the chosen or
+    undecided slots that avoid v.  Proof: each edge of a free family F
+    avoids m + 1 - k vertices, and F - v is a free family on m vertices
+    inside those a_v slots, so (m + 1 - k)|F| = sum |F - v| <= sum min(E,
+    a_v).  The sum is only taken where it can prune more than the
+    remaining-slots count: it equals (m + 1 - k)|alive| minus an excess of
+    at most (m + 1)(C(m, k) - E).  An included child has its parent's
     alive set and inherits its value; an excluded child computes its own.
 
     nodes counts the outer nodes of every level.  With a budget the search
@@ -112,9 +114,7 @@ def extremal_search(
     Including edge e in a free family F is decided by the true verdict on
     F + e, reached by the first of four checks that decides it.  F + e is
     free if F is a subset of free_with[e], the last family found free with
-    e (it starts empty: one edge alone is free for r >= 2; or, when the
-    count leaves no room for an r-regular S among the C(n, k) k-sets, it
-    starts at the universe, and no inner solve runs).  F + e is not free if
+    e (it starts empty: one edge alone is free for r >= 2).  F + e is not free if
     some certificate found through e, minus e, is a subset of F: bit j of
     reg_in[e][t] says that the j-th such certificate holds slot t, so
     OR-ing reg_in[e][t] over the certificates' slots outside F leaves
@@ -150,9 +150,7 @@ def extremal_search(
     # free_in[e][t] says that the j-th family found free with e holds slot
     # t, and bit j of reg_in[e][t] that the j-th certificate found through
     # e (minus e) does; reg_union[e] is the union of those certificates.
-    # When the sizes of no r-regular subgraph fit the whole universe, every
-    # family is free, and free_with starts at the universe.
-    free_with = [0 if _sizes_fit(n, k, r, total) else (1 << total) - 1] * total
+    free_with = [0] * total
     free_in = [[0] * total for _ in range(total)]
     free_count = [0] * total
     reg_in = [[0] * total for _ in range(total)]
@@ -169,13 +167,13 @@ def extremal_search(
 
     # below is ex(m - 1, k, r) from the complete level under level m; at
     # the first level it is C(m - 1, k) = 0, and the bound is never taken.
-    below = 0
-    for m in range(min(k, n), n + 1):
+    best = below = 0
+    for m in range(k, n + 1):
         size = comb(m, k)
-        if m < n and not _sizes_fit(m, k, r, size):
-            below = size
-            continue
         prefix = (1 << size) - 1
+        if not _sizes_fit(m, k, r, size):
+            best, below = prefix, size
+            continue
         best = inc[0] & prefix  # the star on vertex 0 of [m]
         # The bound is count minus ceil(excess / lag), and the excess is at
         # most m (C(m - 1, k) - below), so it can prune only where count

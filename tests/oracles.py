@@ -108,19 +108,23 @@ def extremal_tree(n, k, r):
     """The outer trees of an include-first DFS for ex(n, k, r), without
     memos, one level m = k, ..., n at a time: level m runs over the k-sets
     of [m] in colex order, with the star on vertex 0 of [m] as the first
-    incumbent, and each inclusion decided by regular_subset.  A level below
-    n is skipped when no r-regular family's sizes fit it (k * s == r * x
-    for no x <= m and s <= C(x, k)).  A node is pruned when its chosen
-    count plus the slots left, or floor(sum over v < m of min(E, a_v) /
-    (m - k)), cannot beat the incumbent, where E = ex(m - 1, k, r) comes
-    from extremal_by_enumeration and a_v counts the chosen or undecided
-    k-sets avoiding v.  Returns (optimum, nodes summed over the levels,
-    witness edges of level n in colex order).  Tiny n only."""
+    incumbent, and each inclusion decided by regular_subset.  A level is
+    not searched when no r-regular family's sizes fit it (k * s == r * x
+    for no x <= m and s <= C(x, k)): its best is all k-sets of [m], in 0
+    nodes.  A node is pruned when its chosen count plus the slots left, or
+    floor(sum over v < m of min(E, a_v) / (m - k)), cannot beat the
+    incumbent, where E = ex(m - 1, k, r) comes from extremal_by_enumeration
+    and a_v counts the chosen or undecided k-sets avoiding v.  Returns
+    (optimum, nodes summed over the levels, witness edges of level n in
+    colex order).  Tiny n only."""
     nodes = 0
+
+    def colex(m):
+        return sorted(combinations(range(m), k), key=lambda e: sum(1 << v for v in e))
 
     def level(m):
         nonlocal best, nodes
-        universe = sorted(combinations(range(m), k), key=lambda e: sum(1 << v for v in e))
+        universe = colex(m)
         total = len(universe)
         best = [e for e in universe if e[0] == 0]
         below = extremal_by_enumeration(m - 1, k, r) if m > k else None
@@ -147,10 +151,12 @@ def extremal_tree(n, k, r):
         visit(0, [])
 
     best = []
-    for m in range(min(k, n), n + 1):
+    for m in range(k, n + 1):
         fits = any(k * s == r * x for x in range(k, m + 1) for s in range(1, comb(x, k) + 1))
-        if m == n or fits:
+        if fits:
             level(m)
+        else:
+            best = colex(m)
     return len(best), nodes, best
 
 

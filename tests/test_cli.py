@@ -302,6 +302,14 @@ def test_search_node_budget_reports_exactly_the_budget(capsys):
     assert stdout.splitlines() == ["n,k,r,optimum,complete,nodes", "7,3,2,15,0,10000"]
 
 
+def test_search_settled_by_the_count_is_complete_under_a_budget(capsys):
+    # C(7,4) has no room for a 3-regular family, so no node is needed
+    code, stdout, _ = invoke(capsys, "search", "--n", "7", "--k", "4", "--r", "3",
+                             "--max-nodes", "1", "--format", "csv")
+    assert code == 0
+    assert stdout.splitlines() == ["n,k,r,optimum,complete,nodes", "7,4,3,35,1,0"]
+
+
 def test_search_guard_is_usage_error(capsys):
     code, _, err = invoke(capsys, "search", "--n", "9", "--k", "4", "--r", "2")
     assert code == 2

@@ -12,7 +12,7 @@ from regulus import extremal
 from regulus.errors import GuardError
 from regulus.gadgets import full_star, star_plus
 from regulus.hypercore import Hypergraph, complete_uniform
-from regulus.regdetect import SolverBudget, SolveStatus, find_regular
+from regulus.regdetect import SolverBudget, SolveStatus, _sizes_fit, find_regular
 from regulus.extremal import (
     CLAIMS,
     claim_table,
@@ -144,7 +144,7 @@ def test_universe_guard():
 
 def test_k_above_n_has_an_empty_universe():
     rep = extremal_search(3, 5, 2)
-    assert (rep.optimum, rep.complete, rep.nodes) == (0, True, 1)
+    assert (rep.optimum, rep.complete, rep.nodes) == (0, True, 0)
     assert rep.witness == Hypergraph(3)
 
 
@@ -182,7 +182,7 @@ def test_deadline_reaches_the_inner_solves():
 def test_size_count_decides_every_inclusion(monkeypatch):
     # An r-regular S among the 4-sets of 7 vertices has 4|S| = 3|V(S)|:
     # 3 edges on 4 vertices, or 8 vertices.  Neither fits, so every family
-    # is free, the first path takes all 35 4-sets, and no inner solve runs.
+    # is free: the answer is all 35 4-sets, in 0 nodes and no inner solve.
     calls = []
     solve = extremal._search
 
@@ -192,12 +192,32 @@ def test_size_count_decides_every_inclusion(monkeypatch):
 
     monkeypatch.setattr(extremal, "_search", counted)
     rep = extremal_search(7, 4, 3)
-    assert (rep.optimum, rep.complete, rep.nodes) == (35, True, 71)
+    assert (rep.optimum, rep.complete, rep.nodes) == (35, True, 0)
     assert rep.witness == complete_uniform(7, 4)
     assert calls == []
     # where the sizes fit, the solves run through the counted name
     extremal_search(5, 3, 3)
     assert calls
+
+
+def test_count_settled_triples_take_no_node(monkeypatch):
+    # Where the size count leaves no room for an r-regular family among all
+    # C(n, k) k-sets, every level is settled by it: the answer is the whole
+    # universe, complete in 0 nodes under any budget, with no inner solve
+    # and no permutation table.
+    calls = []
+    monkeypatch.setattr(extremal, "_search", lambda *args: calls.append(args))
+    monkeypatch.setattr(extremal, "permutations", lambda *args: calls.append(args))
+    settled = [(n, k, r) for n in range(1, 8) for k in range(1, n + 1) for r in range(2, 7)
+               if comb(n, k) <= 35 and not _sizes_fit(n, k, r, comb(n, k))]
+    for n, k, r in settled:
+        for budget in (None, SolverBudget(max_nodes=1)):
+            for iso in (False, True):
+                rep = extremal_search(n, k, r, budget, isomorph_reject=iso)
+                assert (rep.optimum, rep.complete, rep.nodes) == (comb(n, k), True, 0), (
+                    n, k, r, budget, iso)
+                assert rep.witness == complete_uniform(n, k)
+    assert calls == []
 
 
 def test_matches_enumeration_oracle():

@@ -189,7 +189,7 @@ def test_search_order_is_pinned():
         assert (res.status, res.nodes) == (status, nodes), (h, r)
         if edge_indices is not None:
             assert res.certificate.edge_indices == edge_indices, (h, r)
-    assert extremal_search(5, 3, 2).nodes == 21
+    assert extremal_search(5, 3, 2).nodes == 0
 
 
 def test_size_count_proves_absence_before_any_node():
