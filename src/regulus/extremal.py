@@ -6,8 +6,9 @@ n-vertex k-uniform hypergraph with no r-regular subgraph, by include-first
 depth-first search over the complete k-set universe in colex order, pruning
 with an incremental solver call (adding an edge to a regular-free set can
 only create regular subgraphs through that edge), a remaining-slots bound,
-and a vertex-deletion bound from ex(n - 1, k, r), which the same call
-finds first, level by level.
+and two vertex-deletion bounds from ex(n - 1, k, r), averaged over the
+vertices and at the best single vertex, which the same call finds first,
+level by level.
 A subfamily of a free family is free, so whether F + e is free is monotone
 in F; each candidate edge remembers every family found free with it and
 every regular subfamily found through it, indexed by slot so that a lookup
@@ -91,15 +92,20 @@ def extremal_search(
     its whole prefix, and visits no node, builds no permutation table and
     asks no budget: a triple the count settles is complete in 0 nodes.
     Every other level below n runs to the end and passes its optimum E =
-    ex(m, k, r) up.  Level m + 1 then prunes a node when floor(sum over v
-    of min(E, a_v) / (m + 1 - k)) <= best, with a_v the chosen or
-    undecided slots that avoid v.  Proof: each edge of a free family F
-    avoids m + 1 - k vertices, and F - v is a free family on m vertices
-    inside those a_v slots, so (m + 1 - k)|F| = sum |F - v| <= sum min(E,
-    a_v).  The sum is only taken where it can prune more than the
-    remaining-slots count: it equals (m + 1 - k)|alive| minus an excess of
-    at most (m + 1)(C(m, k) - E).  An included child has its parent's
-    alive set and inherits its value; an excluded child computes its own.
+    ex(m, k, r) up.  Level m + 1 then prunes a node when the smaller of
+    floor(sum over v of min(E, a_v) / (m + 1 - k)) and |alive| + E - max
+    over v of a_v is <= best, with alive the chosen or undecided slots and
+    a_v those of them that avoid v; one popcount pass gives every a_v.
+    Proof: F - v is a free family on m vertices inside the a_v slots, so
+    |F - v| <= min(E, a_v).  Each edge of a free family F avoids m + 1 - k
+    vertices, so (m + 1 - k)|F| = sum |F - v| <= sum min(E, a_v); and v
+    lies in at most |alive| - a_v edges of F, so |F| = |F - v| + deg_F(v)
+    <= |alive| - max(0, a_v - E).  The bounds are only taken where they
+    can prune more than the remaining-slots count: the first is
+    (m + 1 - k)|alive| minus an excess of at most (m + 1)(C(m, k) - E),
+    and the second is |alive| minus at most C(m, k) - E, no more than the
+    first's reach.  An included child has its parent's alive set and
+    inherits its value; an excluded child computes its own.
 
     nodes counts the outer nodes of every level.  With a budget the search
     may stop early with complete=False.  The budget follows the solver's
@@ -175,9 +181,10 @@ def extremal_search(
             best, below = prefix, size
             continue
         best = inc[0] & prefix  # the star on vertex 0 of [m]
-        # The bound is count minus ceil(excess / lag), and the excess is at
-        # most m (C(m - 1, k) - below), so it can prune only where count
-        # exceeds the incumbent by at most reach.
+        # The averaged bound is count minus ceil(excess / lag), and the
+        # excess is at most m (C(m - 1, k) - below), so it can prune only
+        # where count exceeds the incumbent by at most reach; the
+        # single-vertex bound takes at most C(m - 1, k) - below <= reach.
         lag = m - k
         excess = m * (comb(m - 1, k) - below)
         reach = -(-excess // lag) if excess else 0
@@ -210,8 +217,12 @@ def extremal_search(
             if count - incumbent <= reach:
                 if bound is None:
                     alive = chosen | prefix >> slot << slot
-                    bound = sum(map(min, repeat(below),
-                                    map(int.bit_count, map(alive.__and__, avoid)))) // lag
+                    # The single-vertex bound is the cheaper of the two, so
+                    # the sum is only taken where that one does not prune.
+                    a = list(map(int.bit_count, map(alive.__and__, avoid)))
+                    bound = count + below - max(a)
+                    if bound > incumbent:
+                        bound = min(bound, sum(map(min, repeat(below), a)) // lag)
                 if bound <= incumbent:
                     continue
             if isomorph_reject and slot < 8:

@@ -114,7 +114,10 @@ def extremal_tree(n, k, r):
     nodes.  A node is pruned when its chosen count plus the slots left, or
     floor(sum over v < m of min(E, a_v) / (m - k)), cannot beat the
     incumbent, where E = ex(m - 1, k, r) comes from extremal_by_enumeration
-    and a_v counts the chosen or undecided k-sets avoiding v.  Returns
+    and a_v counts the chosen or undecided k-sets avoiding v; or when the
+    alive count plus E minus the largest a_v cannot: F - v is free on m - 1
+    vertices inside the a_v slots avoiding v, and v adds at most the other
+    alive slots.  Returns
     (optimum, nodes summed over the levels, witness edges of level n in
     colex order).  Tiny n only."""
     nodes = 0
@@ -140,8 +143,11 @@ def extremal_tree(n, k, r):
                 return
             if below is not None:
                 alive = chosen + universe[slot:]
-                deleted = sum(min(below, sum(v not in e for e in alive)) for v in range(m))
+                avoiding = [sum(v not in e for e in alive) for v in range(m)]
+                deleted = sum(min(below, a) for a in avoiding)
                 if deleted // (m - k) <= len(best):
+                    return
+                if len(alive) + below - max(avoiding) <= len(best):
                     return
             family = chosen + [universe[slot]]
             if regular_subset(family, n, r) is None:
