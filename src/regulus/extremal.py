@@ -6,9 +6,8 @@ n-vertex k-uniform hypergraph with no r-regular subgraph, by include-first
 depth-first search over the complete k-set universe in colex order, pruning
 with an incremental solver call (adding an edge to a regular-free set can
 only create regular subgraphs through that edge), a remaining-slots bound,
-and two vertex-deletion bounds from ex(n - 1, k, r), averaged over the
-vertices and at the best single vertex, which the same call finds first,
-level by level.
+and a vertex-deletion bound at the best single vertex from ex(n - 1, k, r),
+which the same call finds first, level by level.
 A subfamily of a free family is free, so whether F + e is free is monotone
 in F; each candidate edge remembers every family found free with it and
 every regular subfamily found through it, indexed by slot so that a lookup
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from math import comb
 
 from .errors import GuardError
@@ -92,20 +91,15 @@ def extremal_search(
     its whole prefix, and visits no node, builds no permutation table and
     asks no budget: a triple the count settles is complete in 0 nodes.
     Every other level below n runs to the end and passes its optimum E =
-    ex(m, k, r) up.  Level m + 1 then prunes a node when the smaller of
-    floor(sum over v of min(E, a_v) / (m + 1 - k)) and |alive| + E - max
+    ex(m, k, r) up.  Level m + 1 then prunes a node when |alive| + E - max
     over v of a_v is <= best, with alive the chosen or undecided slots and
     a_v those of them that avoid v; one popcount pass gives every a_v.
-    Proof: F - v is a free family on m vertices inside the a_v slots, so
-    |F - v| <= min(E, a_v).  Each edge of a free family F avoids m + 1 - k
-    vertices, so (m + 1 - k)|F| = sum |F - v| <= sum min(E, a_v); and v
+    Proof: F - v is a free family on m vertices, so |F - v| <= E, and v
     lies in at most |alive| - a_v edges of F, so |F| = |F - v| + deg_F(v)
-    <= |alive| - max(0, a_v - E).  The bounds are only taken where they
-    can prune more than the remaining-slots count: the first is
-    (m + 1 - k)|alive| minus an excess of at most (m + 1)(C(m, k) - E),
-    and the second is |alive| minus at most C(m, k) - E, no more than the
-    first's reach.  An included child has its parent's alive set and
-    inherits its value; an excluded child computes its own.
+    <= |alive| + E - a_v for every v.  The bound is only taken where it can
+    prune more than the remaining-slots count |alive|: it is lower by max
+    a_v - E, and a_v <= C(m, k).  An included child has its parent's alive
+    set and inherits its value; an excluded child computes its own.
 
     nodes counts the outer nodes of every level.  With a budget the search
     may stop early with complete=False.  The budget follows the solver's
@@ -181,13 +175,9 @@ def extremal_search(
             best, below = prefix, size
             continue
         best = inc[0] & prefix  # the star on vertex 0 of [m]
-        # The averaged bound is count minus ceil(excess / lag), and the
-        # excess is at most m (C(m - 1, k) - below), so it can prune only
-        # where count exceeds the incumbent by at most reach; the
-        # single-vertex bound takes at most C(m - 1, k) - below <= reach.
-        lag = m - k
-        excess = m * (comb(m - 1, k) - below)
-        reach = -(-excess // lag) if excess else 0
+        # The bound is count - (max_v a_v - below) with a_v <= C(m - 1, k), so
+        # it can prune only where count exceeds the incumbent by at most reach.
+        reach = comb(m - 1, k) - below
         avoid = [prefix & ~inc[v] for v in range(m)]
         if isomorph_reject:
             seen_states: set = set()
@@ -217,12 +207,7 @@ def extremal_search(
             if count - incumbent <= reach:
                 if bound is None:
                     alive = chosen | prefix >> slot << slot
-                    # The single-vertex bound is the cheaper of the two, so
-                    # the sum is only taken where that one does not prune.
-                    a = list(map(int.bit_count, map(alive.__and__, avoid)))
-                    bound = count + below - max(a)
-                    if bound > incumbent:
-                        bound = min(bound, sum(map(min, repeat(below), a)) // lag)
+                    bound = count + below - max(map(int.bit_count, map(alive.__and__, avoid)))
                 if bound <= incumbent:
                     continue
             if isomorph_reject and slot < 8:
@@ -389,14 +374,3 @@ def classify_3sets(h: Hypergraph, v: int) -> ThreeSetPartition:
         d_non = through_all - d_edges
         (bad if 8 * d_non >= rhs else good).append(t)
     return ThreeSetPartition(v=v, good=tuple(good), bad=tuple(bad))
-
-
-def is_linear(h: Hypergraph) -> bool:
-    """True iff every two distinct edges share at most one vertex."""
-    seen: set[tuple[int, int]] = set()
-    for e in h.edges:
-        for pair in combinations(e, 2):
-            if pair in seen:
-                return False
-            seen.add(pair)
-    return True

@@ -281,38 +281,6 @@ def link(h: Hypergraph, d: Iterable[int]) -> LinkGraph:
     return LinkGraph(graph=Hypergraph(h.n, sub), removed=tuple(sorted(dset)))
 
 
-def link_intersection(h: Hypergraph, x: int, y: int) -> Hypergraph:
-    """Common link of two vertices: the (k-1)-sets f avoiding both x and y
-    with f+{x} and f+{y} both edges."""
-    if x == y:
-        raise ValueError("link_intersection needs two distinct vertices")
-    for v in (x, y):
-        if not isinstance(v, int) or v < 0 or v >= h.n:
-            raise ValueError(f"vertex {v!r} out of range for n={h.n}")
-    if len(h.edges) and h.uniformity is None:
-        raise ValueError("link_intersection requires a uniform hypergraph")
-    bx, by = 1 << x, 1 << y
-    idx = h.mask_index
-    out = []
-    for m in h.edge_masks:
-        if m & bx and not m & by:
-            f = m ^ bx
-            if (f | by) in idx:
-                out.append(vertices_of(f))
-    return Hypergraph(h.n, out)
-
-
-def greedy_matching(h: Hypergraph, target: int | None = None) -> list[int]:
-    """First-fit matching in colex edge order; stops early at `target` edges.
-
-    Returns indices of pairwise disjoint edges.  Maximal when target is None
-    or not reached: every remaining edge meets a chosen one.
-    """
-    if target is not None and target < 0:
-        raise ValueError("target must be nonnegative")
-    return _first_fit(h.edge_masks, target)
-
-
 def complete_uniform(n: int, k: int) -> Hypergraph:
     """All k-subsets of [0, n)."""
     if k < 0 or k > n:

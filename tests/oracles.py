@@ -111,13 +111,12 @@ def extremal_tree(n, k, r):
     incumbent, and each inclusion decided by regular_subset.  A level is
     not searched when no r-regular family's sizes fit it (k * s == r * x
     for no x <= m and s <= C(x, k)): its best is all k-sets of [m], in 0
-    nodes.  A node is pruned when its chosen count plus the slots left, or
-    floor(sum over v < m of min(E, a_v) / (m - k)), cannot beat the
-    incumbent, where E = ex(m - 1, k, r) comes from extremal_by_enumeration
-    and a_v counts the chosen or undecided k-sets avoiding v; or when the
-    alive count plus E minus the largest a_v cannot: F - v is free on m - 1
-    vertices inside the a_v slots avoiding v, and v adds at most the other
-    alive slots.  Returns
+    nodes.  A node is pruned when its chosen count plus the slots left
+    cannot beat the incumbent, or when the alive count plus E minus the
+    largest a_v cannot, where E = ex(m - 1, k, r) comes from
+    extremal_by_enumeration and a_v counts the chosen or undecided k-sets
+    avoiding v: F - v is free on m - 1 vertices, and v adds at most the
+    other alive slots.  Returns
     (optimum, nodes summed over the levels, witness edges of level n in
     colex order).  Tiny n only."""
     nodes = 0
@@ -144,9 +143,6 @@ def extremal_tree(n, k, r):
             if below is not None:
                 alive = chosen + universe[slot:]
                 avoiding = [sum(v not in e for e in alive) for v in range(m)]
-                deleted = sum(min(below, a) for a in avoiding)
-                if deleted // (m - k) <= len(best):
-                    return
                 if len(alive) + below - max(avoiding) <= len(best):
                     return
             family = chosen + [universe[slot]]

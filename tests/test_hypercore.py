@@ -12,11 +12,10 @@ from regulus.gadgets import full_star, gadget_h
 from regulus.hypercore import (
     MAX_VERTICES,
     Hypergraph,
+    _first_fit,
     complete_uniform,
     degree_vector,
-    greedy_matching,
     link,
-    link_intersection,
     mask_of,
     parse,
     read_hypergraph,
@@ -212,46 +211,13 @@ def test_link_size_property():
         assert len(link(h, d).graph.edges) == want
 
 
-def test_link_intersection_two_edges():
-    h = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
-    assert link_intersection(h, 2, 3).edges == ((0, 1),)
-
-
-def test_link_intersection_complete():
-    h = complete_uniform(5, 3)
-    got = link_intersection(h, 0, 1)
-    assert set(got.edges) == set(combinations(range(2, 5), 2))
-
-
-def test_link_intersection_star_center_is_empty():
-    h, _ = full_star(6, 3)
-    assert link_intersection(h, 0, 3).edges == ()
-
-
-def test_link_intersection_contained_in_both_links():
-    rng = random.Random(19)
-    for _ in range(30):
-        n = rng.randint(3, 9)
-        pool = list(combinations(range(n), 3))
-        h = Hypergraph(n, rng.sample(pool, rng.randint(0, len(pool))))
-        x, y = rng.sample(range(n), 2)
-        inter = set(link_intersection(h, x, y).edges)
-        assert inter <= set(link(h, [x]).graph.edges)
-        assert inter <= set(link(h, [y]).graph.edges)
-
-
-def test_link_intersection_needs_distinct_vertices():
-    with pytest.raises(ValueError):
-        link_intersection(complete_uniform(4, 2), 1, 1)
-
-
 def test_greedy_matching_single_edge():
-    assert greedy_matching(Hypergraph(3, [(0, 1, 2)])) == [0]
+    assert _first_fit(Hypergraph(3, [(0, 1, 2)]).edge_masks) == [0]
 
 
 def test_greedy_matching_colex_trace():
     h = complete_uniform(9, 3)
-    got = greedy_matching(h, target=3)
+    got = _first_fit(h.edge_masks, target=3)
     assert [h.edges[i] for i in got] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
 
 
@@ -261,7 +227,7 @@ def test_greedy_matching_is_maximal():
         n = rng.randint(3, 11)
         pool = list(combinations(range(n), 3))
         h = Hypergraph(n, rng.sample(pool, rng.randint(1, len(pool))))
-        chosen = greedy_matching(h)
+        chosen = _first_fit(h.edge_masks)
         used = 0
         for i in chosen:
             assert h.edge_masks[i] & used == 0
@@ -280,7 +246,7 @@ def test_greedy_matching_size_from_edge_count():
         m = t * comb(n - 1, 2)
         assert m <= len(pool)
         h = Hypergraph(n, rng.sample(pool, m))
-        assert len(greedy_matching(h)) >= max(2, ceil(t / 3))
+        assert len(_first_fit(h.edge_masks)) >= max(2, ceil(t / 3))
 
 
 def test_matching_free_edge_bound():
