@@ -29,6 +29,15 @@ from .regdetect import SolverBudget, SolveStatus, find_regular
 from .regdetect import _check_r, _limits, _search, _sizes_fit, _spent
 
 
+# The largest k-set universe C(n, k) that extremal_search accepts.
+MAX_UNIVERSE = 64
+
+
+def _check_universe(n: int, k: int) -> None:
+    if comb(n, k) > MAX_UNIVERSE:
+        raise GuardError(f"universe C({n},{k}) exceeds the {MAX_UNIVERSE}-edge guard")
+
+
 @dataclass(frozen=True)
 class SearchReport:
     n: int
@@ -134,8 +143,7 @@ def extremal_search(
     _check_r(r)
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if comb(n, k) > 64:
-        raise GuardError(f"universe C({n},{k}) exceeds the 64-edge guard")
+    _check_universe(n, k)
     if isomorph_reject and n > 7:
         raise GuardError("isomorph rejection is limited to n <= 7")
 
@@ -291,6 +299,7 @@ def claim_table(claim: str, n_max: int, k: int = 3, r: int = 2,
     """Header and rows of one desk-scale claim table for n up to n_max;
     every row names its method (exhaustive | solver)."""
     if claim == "mv-conjecture":
+        _check_universe(n_max, k)
         header = ("n", "k", "r", "conjectured", "optimum", "match", "method")
         rows = []
         for n in range(k + 1, n_max + 1):
@@ -326,10 +335,11 @@ def count_wedges(h: Hypergraph, v: int, r: int) -> WedgeCount:
     each edge e avoiding v, wedge partners are exactly (e - D) + S + {v} over
     k/r-subsets D of e and (k/r - 1)-sets S outside e + {v}, minus those that
     are edges; (D, S) <-> f is a bijection, so each wedge is counted once."""
+    _check_r(r)
     k = h.uniformity
     if k is None:
         raise ValueError("a nonempty uniform hypergraph is required")
-    if r < 1 or k % r:
+    if k % r:
         raise ValueError(f"r must divide k, got k={k}, r={r}")
     if not (0 <= v < h.n):
         raise ValueError(f"vertex {v} out of range")

@@ -11,7 +11,6 @@ is simply "sorted by mask".  All operations are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable
 
@@ -172,18 +171,6 @@ class Hypergraph:
         return f"Hypergraph(n={self._n}, m={len(self._edges)})"
 
 
-@dataclass(frozen=True)
-class LinkGraph:
-    """Link of a vertex set D: the edges containing D, with D removed.
-
-    `graph` lives on the same vertex range as the host; every edge of it is
-    disjoint from `removed`, and e is an edge iff e | removed is a host edge.
-    """
-
-    graph: Hypergraph
-    removed: tuple[int, ...]
-
-
 def parse(text: str) -> Hypergraph:
     """Parse the plain-text hypergraph format.
 
@@ -267,18 +254,6 @@ def degree_vector(h: Hypergraph, edge_indices: Iterable[int]) -> list[int]:
         for v in h.edges[i]:
             degs[v] += 1
     return degs
-
-
-def link(h: Hypergraph, d: Iterable[int]) -> LinkGraph:
-    """Link of the vertex set d: exactly the edges containing d, with d removed."""
-    dset = set()
-    for v in d:
-        if not isinstance(v, int) or v < 0 or v >= h.n:
-            raise ValueError(f"vertex {v!r} out of range for n={h.n}")
-        dset.add(v)
-    dmask = mask_of(dset)
-    sub = [vertices_of(m & ~dmask) for m in h.edge_masks if m & dmask == dmask]
-    return LinkGraph(graph=Hypergraph(h.n, sub), removed=tuple(sorted(dset)))
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:

@@ -1,9 +1,8 @@
 """Finders and verifiers for structural patterns inside hypergraphs.
 
 Covers sunflowers (greedy recursion plus guarded exhaustive fallback),
-disjoint edge pairs with equal unions, embedded copies of the two-part /
-four-part selection gadgets, and hitting families for equipartitions, sized
-by an exact set cover.
+disjoint edge pairs with equal unions, and embedded copies of the two-part /
+four-part selection gadgets.
 """
 
 from __future__ import annotations
@@ -131,19 +130,6 @@ def verify_sunflower(h: Hypergraph, s: Sunflower) -> tuple[bool, str]:
         if h.edge_masks[i] & h.edge_masks[j] != core:
             return False, f"petals {i},{j} do not intersect in the core"
     return True, "ok"
-
-
-def sunflower_free_family(k: int, p: int) -> Hypergraph:
-    """The transversal product family attaining the greedy lower bound:
-    k disjoint groups of p-1 vertices; edges pick one vertex per group,
-    (p-1)^k edges total, and no p of them form a sunflower."""
-    if k < 1 or p < 2:
-        raise ValueError(f"need k >= 1 and p >= 2, got k={k}, p={p}")
-    groups = [range(i * (p - 1), (i + 1) * (p - 1)) for i in range(k)]
-    edges: list[tuple[int, ...]] = [()]
-    for g in groups:
-        edges = [e + (v,) for e in edges for v in g]
-    return Hypergraph(k * (p - 1), edges)
 
 
 def _same_union_masks(masks: list[int]) -> tuple[int, int, int, int] | None:
@@ -312,111 +298,3 @@ def verify_embedded_copy(h: Hypergraph, c: EmbeddedCopy) -> tuple[bool, str]:
         return False, "edge indices do not match the template enumeration"
     return True, "ok"
 
-
-def equipartitions(k: int, r: int):
-    """All partitions of [0,k) into r parts of size k/r, in the canonical
-    order where the smallest unassigned element always starts the next part."""
-    if r < 1 or k < 1:
-        raise ValueError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
-    if k % r:
-        raise ValueError(f"r must divide k, got k={k}, r={r}")
-    if k > 12:
-        raise GuardError(f"equipartition enumeration is limited to k <= 12, got k={k}")
-    kp = k // r
-
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for others in combinations(rest, kp - 1):
-            part = (first, *others)
-            left = tuple(v for v in rest if v not in others)
-            for tail in rec(left):
-                yield (part,) + tail
-
-    yield from rec(tuple(range(k)))
-
-
-def check_equipartition_hitting(k: int, r: int, family) -> bool:
-    """True iff every r-equipartition of [0,k) has at least one part in
-    `family` (an iterable of k/r-subsets of [0,k))."""
-    kp = k // r if r >= 1 and k % r == 0 else None
-    parts = set()
-    for s in family:
-        t = tuple(sorted(s))
-        if len(set(t)) != len(t) or any(not (0 <= v < k) for v in t):
-            raise ValueError(f"family member {s} is not a subset of [0,{k})")
-        if kp is not None and len(t) != kp:
-            raise ValueError(f"family member {s} does not have size {kp}")
-        parts.add(t)
-    return all(any(p in parts for p in eq) for eq in equipartitions(k, r))
-
-
-def min_set_cover(num_elements: int, sets: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum set cover over bitmask sets; branch on the lowest
-    uncovered element, bound by remaining/max-set-size.  Returns the size and
-    the first optimal selection found (ascending indices)."""
-    full = (1 << num_elements) - 1
-    if full == 0:
-        return 0, ()
-    union = 0
-    for s in sets:
-        union |= s
-    if union & full != full:
-        raise ValueError("the sets do not cover all elements")
-    containing: list[list[int]] = [[] for _ in range(num_elements)]
-    for i, s in enumerate(sets):
-        for e in vertices_of(s & full):
-            containing[e].append(i)
-    max_size = max((s & full).bit_count() for s in sets)
-
-    # greedy upper bound seeds the incumbent
-    covered, greedy = 0, []
-    while covered != full:
-        best_i = min(
-            range(len(sets)),
-            key=lambda i: (-(sets[i] & ~covered & full).bit_count(), i),
-        )
-        greedy.append(best_i)
-        covered |= sets[best_i]
-    best_size = len(greedy)
-    best_sets = tuple(sorted(greedy))
-
-    chosen: list[int] = []
-
-    def dfs(covered: int) -> None:
-        nonlocal best_size, best_sets
-        if covered == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_sets = tuple(sorted(chosen))
-            return
-        uncov = (~covered & full).bit_count()
-        if len(chosen) + -(-uncov // max_size) >= best_size:
-            return
-        e = ((~covered & full) & -(~covered & full)).bit_length() - 1
-        for i in containing[e]:
-            chosen.append(i)
-            dfs(covered | sets[i])
-            chosen.pop()
-
-    dfs(0)
-    return best_size, best_sets
-
-
-def min_equipartition_hitting_size(k: int, r: int) -> int:
-    """Exact minimum size of a family of k/r-subsets hitting every
-    r-equipartition of [0,k), via branch-and-bound set cover over the
-    (subset, equipartition) incidence."""
-    if k > 8:
-        raise GuardError(f"exact minimum is limited to k <= 8, got k={k}")
-    eqs = list(equipartitions(k, r))
-    subsets = list(combinations(range(k), k // r))
-    part_at = {s: i for i, s in enumerate(subsets)}
-    cover = [0] * len(subsets)
-    for ei, eq in enumerate(eqs):
-        for p in eq:
-            cover[part_at[p]] |= 1 << ei
-    size, _chosen = min_set_cover(len(eqs), cover)
-    return size

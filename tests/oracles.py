@@ -5,7 +5,8 @@ enumerations, frozensets instead of bitmasks, no pruning.  Slow but
 obviously correct, and sharing no code with the package under test.  The
 one vectorized oracle, brute_force_regular, scans subsets with numpy (the
 tests' only use of it) and returns the package's Certificate type, so that
-its answer compares with the solver's directly.
+its answer compares with the solver's directly.  The sunflower_free_family
+fixture likewise builds a Hypergraph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import combinations
 from math import comb
 
 from regulus.errors import GuardError
+from regulus.hypercore import Hypergraph
 from regulus.regdetect import Certificate
 
 
@@ -206,63 +208,13 @@ def complement_pairing(edges, n):
     return pairs
 
 
-def equipartitions_raw(k, r):
-    """All partitions of [0, k) into r parts of size k/r, parts as
-    frozensets, built by always extending from the smallest free element."""
-    kp = k // r
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for others in combinations(rest, kp - 1):
-            part = frozenset((first,) + others)
-            left = tuple(x for x in rest if x not in others)
-            for tail in rec(left):
-                yield (part,) + tail
-
-    yield from rec(tuple(range(k)))
-
-
-def min_hitting_by_scan(k, r):
-    """Smallest family of k/r-subsets meeting every r-equipartition of
-    [0, k), by scanning family sizes upward over all candidate families."""
-    eqs = list(equipartitions_raw(k, r))
-    subsets = list(combinations(range(k), k // r))
-    hit = []
-    for s in subsets:
-        fs = frozenset(s)
-        bits = 0
-        for ei, eq in enumerate(eqs):
-            if fs in eq:
-                bits |= 1 << ei
-        hit.append(bits)
-    full = (1 << len(eqs)) - 1
-    for t in range(1, len(subsets) + 1):
-        for fam in combinations(hit, t):
-            u = 0
-            for bits in fam:
-                u |= bits
-            if u == full:
-                return t
-    return 0
-
-
-def min_cover_by_scan(num_elements, sets):
-    """Smallest sub-collection of `sets` (element bitmasks) whose union is
-    all of [0, num_elements); None when even the whole collection fails."""
-    full = (1 << num_elements) - 1
-    whole = 0
-    for s in sets:
-        whole |= s
-    if whole & full != full:
-        return None
-    for t in range(0 if num_elements == 0 else 1, len(sets) + 1):
-        for fam in combinations(sets, t):
-            u = 0
-            for s in fam:
-                u |= s
-            if u & full == full:
-                return t
-    return len(sets)
+def sunflower_free_family(k, p):
+    """The transversal product family: k disjoint groups of p - 1 vertices,
+    one edge per choice of a vertex from each group, (p - 1)^k edges and no
+    p of them a sunflower: a family on which find_sunflower has to prove
+    absence by its exhaustive fallback."""
+    groups = [range(i * (p - 1), (i + 1) * (p - 1)) for i in range(k)]
+    edges = [()]
+    for g in groups:
+        edges = [e + (v,) for e in edges for v in g]
+    return Hypergraph(k * (p - 1), edges)

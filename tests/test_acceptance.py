@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 from oracles import (
     brute_force_regular,
     complement_pairing,
-    min_hitting_by_scan,
     sunflower_exists,
+    sunflower_free_family,
     wedge_total,
 )
 
@@ -39,8 +41,6 @@ from regulus.patterns import (
     find_same_union,
     find_sunflower,
     greedy_sunflower,
-    min_equipartition_hitting_size,
-    sunflower_free_family,
 )
 from regulus.regdetect import (
     SolveStatus,
@@ -173,14 +173,6 @@ def test_sunflower_family_bounds():
             assert greedy_sunflower(fam, p) is not None, (k, seed)
 
 
-def test_equipartition_hitting_sizes_are_tight():
-    for k, r, expected in ((4, 2, 3), (6, 2, 10), (6, 3, 5)):
-        size = min_equipartition_hitting_size(k, r)
-        assert r * size >= comb(k, k // r), (k, r)
-        assert size == expected, (k, r, size)
-        assert min_hitting_by_scan(k, r) == expected, (k, r)
-
-
 def test_wedge_counts_on_regular_free_instances():
     rng = random.Random(101)
     shapes = ((3, 3), (4, 2), (4, 4))
@@ -201,6 +193,13 @@ def test_wedge_counts_on_regular_free_instances():
             off_center = len(w.per_edge)
             floor = comb(k, k_prime) * comb(n - k - 1, k_prime - 1) * off_center
             assert r * w.total >= floor, (free, v, w.total, floor)
+            # Per edge e and (k/r - 1)-set S: e and the r sets (e - e_j) + S + v
+            # over an equipartition of e are r-regular, so the D with
+            # (e - D) + S + v missing hit every equipartition of e, and a
+            # hitting family has at least C(k, k/r) / r members.
+            per_edge_floor = comb(n - k - 1, k_prime - 1) * -(-comb(k, k_prime) // r)
+            for i, cnt in w.per_edge.items():
+                assert cnt >= per_edge_floor, (free, v, i, cnt, per_edge_floor)
     assert free == 200
 
 
@@ -274,3 +273,12 @@ def test_cli_output_is_byte_identical_across_reruns(tmp_path):
         assert second.stdout == first.stdout, argv
         assert second.returncode == first.returncode, argv
         assert snapshot() == files, argv
+
+
+def test_readme_python_blocks_run_in_order():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 4
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

@@ -314,6 +314,11 @@ def test_search_guard_is_usage_error(capsys):
     code, _, err = invoke(capsys, "search", "--n", "9", "--k", "4", "--r", "2")
     assert code == 2
     assert "error:" in err
+    # the table refuses n_max by the same guard before computing any row
+    code, stdout, err = invoke(capsys, "table", "--claim", "mv-conjecture",
+                               "--k", "3", "--n-max", "9")
+    assert (code, stdout) == (2, "")
+    assert "universe C(9,3) exceeds the 64-edge guard" in err
 
 
 def test_wedges_text(tmp_path, capsys):
@@ -438,6 +443,12 @@ def test_usage_errors(tmp_path, capsys):
                           str(tmp_path / "missing.hg"), "--r", "2")
     assert code == 2
     assert "error:" in err
+    # wedges holds r to the contract detect does
+    path = tmp_path / "sp.hg"
+    write_hypergraph(star_plus(8, 3, 3)[0], str(path))
+    code, stdout, err = invoke(capsys, "wedges", "--input", str(path), "--v", "0", "--r", "1")
+    assert (code, stdout) == (2, "")
+    assert "r must be an integer >= 2, got 1" in err
 
 
 def test_parse_error_is_usage_error(tmp_path, capsys):

@@ -136,6 +136,15 @@ def test_isomorph_rejection_vertex_guard():
 def test_universe_guard():
     with pytest.raises(GuardError):
         extremal_search(9, 4, 2)
+    # C(9,3) = 84 > 64: the table refuses n_max by the search's own guard,
+    # before the rows n = 4..8 (ex(8,3,2) alone would take hours)
+    with pytest.raises(GuardError) as direct:
+        extremal_search(9, 3, 2)
+    start = time.perf_counter()
+    with pytest.raises(GuardError) as table:
+        claim_table("mv-conjecture", 9, 3)
+    assert time.perf_counter() - start < 1.0
+    assert str(table.value) == str(direct.value)
 
 
 def test_k_above_n_has_an_empty_universe():
@@ -308,6 +317,9 @@ def test_wedges_parameter_validation():
         count_wedges(h, 8, 3)
     with pytest.raises(ValueError):
         count_wedges(Hypergraph(4, [(0, 1), (0, 1, 2)]), 0, 2)
+    for r in (1, 2.0):  # the one r contract: an integer >= 2
+        with pytest.raises(ValueError, match="r must be an integer >= 2"):
+            count_wedges(h, 0, r)
 
 
 def test_classify_full_star_all_good():

@@ -15,7 +15,6 @@ from regulus.hypercore import (
     _first_fit,
     complete_uniform,
     degree_vector,
-    link,
     mask_of,
     parse,
     read_hypergraph,
@@ -178,37 +177,6 @@ def test_degree_vector_rejects_bad_index():
     h, _ = full_star(4, 3)
     with pytest.raises(ValueError):
         degree_vector(h, [5])
-
-
-def test_link_of_star_center_is_complete():
-    h, _ = full_star(6, 3)
-    lg = link(h, [0])
-    assert lg.removed == (0,)
-    assert set(lg.graph.edges) == set(combinations(range(1, 6), 2))
-
-
-def test_link_empty_when_no_superset():
-    h = Hypergraph(5, [(0, 1, 2)])
-    assert link(h, [3, 4]).graph.edges == ()
-
-
-def test_link_of_gadget_stationary_part():
-    # the part {0,1,2} of the (4,1) gadget extends only by a pair vertex
-    h, desc = gadget_h(4, 1)
-    lg = link(h, desc.stationary_parts[0])
-    assert lg.graph.edges == ((6,), (7,))
-
-
-def test_link_size_property():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(2, 10)
-        pool = list(combinations(range(n), min(3, n)))
-        h = Hypergraph(n, rng.sample(pool, rng.randint(0, len(pool))))
-        d = rng.sample(range(n), rng.randint(1, 2))
-        dset = set(d)
-        want = sum(1 for e in h.edges if dset <= set(e))
-        assert len(link(h, d).graph.edges) == want
 
 
 def test_greedy_matching_single_edge():

@@ -3,11 +3,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
-from oracles import min_cover_by_scan, min_hitting_by_scan, sunflower_exists
+from oracles import sunflower_exists, sunflower_free_family
 from regulus.errors import GuardError
 from regulus.gadgets import full_star, gadget_h, gadget_h_prime
 from regulus.hypercore import Hypergraph, complete_uniform
@@ -15,15 +15,10 @@ from regulus.patterns import (
     EmbeddedCopy,
     SameUnionQuad,
     Sunflower,
-    check_equipartition_hitting,
-    equipartitions,
     find_gadget_copy,
     find_same_union,
     find_sunflower,
     greedy_sunflower,
-    min_equipartition_hitting_size,
-    min_set_cover,
-    sunflower_free_family,
     verify_embedded_copy,
     verify_same_union,
     verify_sunflower,
@@ -52,15 +47,6 @@ def test_sunflower_p_below_two_rejected():
     for fn in (find_sunflower, greedy_sunflower):
         with pytest.raises(ValueError):
             fn(h, 1)
-
-
-def test_sunflower_free_family_two_three():
-    h = sunflower_free_family(2, 3)
-    assert set(h.edges) == {(0, 2), (0, 3), (1, 2), (1, 3)}
-
-
-def test_sunflower_free_family_singletons():
-    assert sunflower_free_family(1, 4).edges == ((0,), (1,), (2,))
 
 
 def test_sunflower_free_family_has_no_sunflower():
@@ -281,113 +267,3 @@ def test_verify_embedded_copy_names_each_broken_shape():
         ((p0, p1, p0, p1), "parts not distinct"),
     ):
         assert verify_embedded_copy(hp, replace(copy, stationary_parts=parts)) == (False, reason)
-
-
-def test_equipartition_counts():
-    assert len(list(equipartitions(4, 2))) == 3
-    assert len(list(equipartitions(6, 2))) == 10
-    assert len(list(equipartitions(6, 3))) == 15
-    assert len(list(equipartitions(6, 6))) == 1
-    assert len(list(equipartitions(8, 2))) == 35
-    # k! / ((k/r)!^r * r!)
-    for k, r in ((4, 2), (6, 2), (6, 3), (8, 4)):
-        kp = k // r
-        want = factorial(k) // (factorial(kp) ** r * factorial(r))
-        assert len(list(equipartitions(k, r))) == want
-
-
-def test_equipartition_canonical_order():
-    for eq in equipartitions(6, 3):
-        seen = set()
-        for part in eq:
-            assert part[0] == min(set(range(6)) - seen)
-            seen |= set(part)
-
-
-def test_equipartition_validation():
-    with pytest.raises(ValueError):
-        list(equipartitions(5, 2))
-    with pytest.raises(ValueError):
-        list(equipartitions(0, 1))
-    with pytest.raises(GuardError):
-        list(equipartitions(14, 2))
-
-
-def test_hitting_family_examples():
-    assert check_equipartition_hitting(4, 2, [(0, 1), (0, 2), (0, 3)])
-    assert not check_equipartition_hitting(4, 2, [])
-    assert check_equipartition_hitting(6, 3, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
-
-
-def test_hitting_family_member_validation():
-    with pytest.raises(ValueError):
-        check_equipartition_hitting(4, 2, [(0, 4)])
-    with pytest.raises(ValueError):
-        check_equipartition_hitting(4, 2, [(0, 0)])
-    with pytest.raises(ValueError):
-        check_equipartition_hitting(4, 2, [(0, 1, 2)])
-
-
-def test_no_two_subsets_hit_all_equipartitions_of_four():
-    # minimum hitting size is 3, so every 2-subset family fails
-    pairs = list(combinations(range(4), 2))
-    for fam in combinations(pairs, 2):
-        assert not check_equipartition_hitting(4, 2, fam)
-
-
-def test_min_hitting_sizes():
-    assert min_equipartition_hitting_size(4, 2) == 3
-    assert min_equipartition_hitting_size(6, 2) == 10
-    assert min_equipartition_hitting_size(6, 3) == 5
-    assert min_equipartition_hitting_size(8, 2) == 35
-    assert min_equipartition_hitting_size(8, 4) == 7
-    assert min_equipartition_hitting_size(2, 2) == 1
-
-
-def test_min_hitting_matches_raw_scan():
-    for k, r in ((2, 2), (4, 2), (4, 4), (6, 2), (6, 3), (6, 6)):
-        assert min_equipartition_hitting_size(k, r) == min_hitting_by_scan(k, r)
-
-
-def test_min_hitting_lower_bound_over_all_divisors():
-    for k in range(2, 9):
-        for r in range(2, k + 1):
-            if k % r:
-                continue
-            kp = k // r
-            assert r * min_equipartition_hitting_size(k, r) >= comb(k, kp)
-
-
-def test_min_hitting_guard():
-    with pytest.raises(GuardError):
-        min_equipartition_hitting_size(10, 2)
-
-
-def test_min_set_cover_small():
-    # elements 0..3; sets {0,1}, {2}, {3}, {1,2,3}
-    size, chosen = min_set_cover(4, [0b0011, 0b0100, 0b1000, 0b1110])
-    assert size == 2
-    assert chosen == (0, 3)
-
-
-def test_min_set_cover_requires_coverage():
-    with pytest.raises(ValueError):
-        min_set_cover(3, [0b011])
-
-
-def test_min_set_cover_matches_scan():
-    rng = random.Random(17)
-    for _ in range(60):
-        ne = rng.randint(1, 8)
-        sets = [rng.randint(1, (1 << ne) - 1) for _ in range(rng.randint(1, 9))]
-        want = min_cover_by_scan(ne, sets)
-        if want is None:
-            with pytest.raises(ValueError):
-                min_set_cover(ne, sets)
-        else:
-            size, chosen = min_set_cover(ne, sets)
-            assert size == want
-            union = 0
-            for i in chosen:
-                union |= sets[i]
-            assert union == (1 << ne) - 1
